@@ -50,7 +50,6 @@ from repro.hardware.microserver import WorkloadKind
 from repro.scheduler.cluster import Cluster
 from repro.scheduler.heats import HeatsScheduler
 from repro.serving.batching import BatchPolicy
-from repro.serving.cache import PredictionScoreCache
 from repro.serving.gateway import RequestGateway, ServingRequest, Tenant
 from repro.serving.loop import ServingLoop
 from repro.telemetry.profile import PhaseProfiler
@@ -117,9 +116,7 @@ def timed_run(
 ) -> Tuple[object, float]:
     """Serve the stream on a fresh cluster; returns (report, seconds)."""
     cluster = Cluster.heats_testbed(scale=scale)
-    scheduler = HeatsScheduler.with_learned_models(
-        cluster, seed=7, score_cache=PredictionScoreCache()
-    )
+    scheduler = HeatsScheduler.with_learned_models(cluster, seed=7)
     loop = ServingLoop(
         cluster,
         scheduler,

@@ -1,18 +1,14 @@
 """SERVING: the multi-tenant front-end under increasing offered load.
 
 Not a paper figure: this benchmark measures the cluster-as-a-service layer
-the ROADMAP asks for.  Three experiments:
+the ROADMAP asks for.  Two experiments:
 
 1. **Offered-load sweep** -- the same two tenants offer 3 traffic levels;
    reported per level: ops/sec actually served, p50/p99 end-to-end latency,
    admission rejection rate, and energy per request.  Throughput must rise
    with offered load and the tenants' rate limits must start rejecting at
    the highest level.
-2. **Score-cache ablation** -- the identical workload replayed with the
-   HEATS prediction-score cache on vs off (same learned models, fresh
-   cluster per run).  The cached run must be measurably faster while
-   serving the same number of requests.
-3. **Federation shard sweep** -- the identical workload served by 1, 2,
+2. **Federation shard sweep** -- the identical workload served by 1, 2,
    and 4 shards at a fixed total node count (1 shard = today's single
    HEATS cluster).  Per-request placement latency is measured around the
    scheduler's ``place`` calls; the 4-shard federation must place at least
@@ -36,14 +32,7 @@ from repro.api import ServingSpec, TopologySpec
 from repro.federation import Federation
 from repro.scheduler.cluster import Cluster
 from repro.scheduler.heats import HeatsScheduler
-from repro.scheduler.modeling import ProfilingCampaign
-from repro.serving import (
-    BatchPolicy,
-    PredictionScoreCache,
-    RequestGateway,
-    ServingLoop,
-    Tenant,
-)
+from repro.serving import BatchPolicy, ServingLoop, Tenant
 
 LOAD_LEVELS_RPS = (8.0, 24.0, 72.0)
 DURATION_S = 30.0
@@ -155,75 +144,6 @@ def test_serving_offered_load_sweep(bench, smoke):
     assert high.rejection_rate > 0.2
 
 
-def _ablation_run(models, workload, use_cache: bool):
-    cluster = Cluster.heats_testbed(scale=CLUSTER_SCALE)
-    scheduler = HeatsScheduler(
-        models, score_cache=PredictionScoreCache() if use_cache else None
-    )
-    loop = ServingLoop(cluster, scheduler, RequestGateway(workload.tenants))
-    start = time.perf_counter()
-    report = loop.run(workload.requests)
-    return time.perf_counter() - start, report
-
-
-@pytest.mark.benchmark(group="serving")
-def test_serving_score_cache_ablation(bench):
-    # High request volume on generous limits: the scoring hot path dominates.
-    tenants = [
-        Tenant(name="perf-tenant", rate_limit_rps=500.0, burst=200, energy_weight=0.1),
-        Tenant(name="eco-tenant", rate_limit_rps=500.0, burst=200, energy_weight=0.9),
-    ]
-    workload = ServingWorkload.synthetic(
-        tenants, _mix(), offered_rps=150.0, duration_s=DURATION_S, seed=23
-    )
-    models = ProfilingCampaign(
-        Cluster.heats_testbed(scale=CLUSTER_SCALE), seed=7
-    ).run().fit()
-
-    repeats = 5
-    timings = {True: [], False: []}
-    reports = {}
-    for _ in range(repeats):
-        for use_cache in (True, False):
-            elapsed, report = _ablation_run(models, workload, use_cache)
-            timings[use_cache].append(elapsed)
-            reports[use_cache] = report
-    cached_s, uncached_s = min(timings[True]), min(timings[False])
-    speedup = uncached_s / cached_s if cached_s > 0 else float("inf")
-    hit_rate = reports[True].cache_stats.hit_rate
-
-    run = bench("serving_cache_ablation")
-    run.metric("cache_speedup", speedup, direction="higher",
-               tolerance=0.50, abs_tolerance=0.40)
-    run.metric("hit_rate", hit_rate, direction="higher", tolerance=0.05)
-    run.metric("completed", reports[True].completed, direction="higher",
-               tolerance=0.01)
-    run.metric("wall_clock_s", cached_s, direction="lower", gate=False)
-    run.table(
-        "serving_cache_ablation",
-        "Serving front-end -- HEATS score cache ablation (min of "
-        f"{repeats} runs, {len(workload.requests)} requests)",
-        ["score cache", "loop time (ms)", "hit rate", "completed", "ops/sec"],
-        [
-            ["on", f"{cached_s * 1e3:.1f}", f"{hit_rate:.2f}",
-             reports[True].completed, f"{reports[True].ops_per_sec:.2f}"],
-            ["off", f"{uncached_s * 1e3:.1f}", "-",
-             reports[False].completed, f"{reports[False].ops_per_sec:.2f}"],
-            ["speedup", f"{speedup:.2f}x", "", "", ""],
-        ],
-    )
-
-    # The cache serves the same traffic...
-    assert reports[True].offered == reports[False].offered
-    assert reports[True].completed == reports[False].completed > 0
-    # ...absorbs most scoring work (deterministic)...
-    assert hit_rate > 0.5
-    # ...and the min-of-N cached run beats the min-of-N uncached run.
-    # (Typical margin is ~1.4x; the assertion is deliberately loose so a
-    # noisy shared CI runner cannot flip it.)
-    assert speedup > 1.0
-
-
 # --------------------------------------------------------------------- #
 # Federation shard sweep
 # --------------------------------------------------------------------- #
@@ -267,9 +187,7 @@ def _federation_run(workload, num_shards: int):
     if num_shards == 1:
         # Today's path: one HEATS scheduler over the whole 32-node fleet.
         cluster = Cluster.heats_testbed(scale=FEDERATION_TOTAL_SCALE)
-        scheduler = HeatsScheduler.with_learned_models(
-            cluster, seed=7, score_cache=PredictionScoreCache()
-        )
+        scheduler = HeatsScheduler.with_learned_models(cluster, seed=7)
         timer = _PlacementTimer(scheduler)
         loop = ServingLoop(cluster, timer, _Gateway(gateway_tenants))
         report = loop.run(workload.requests)

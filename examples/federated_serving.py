@@ -7,8 +7,7 @@ the cheap hydro-powered eu-north region, and a bursty batch tenant.
 Requests are routed in two levels -- a cheap aggregate shard pick
 (free CPU/memory, thermal headroom, energy price), then HEATS node
 placement inside the chosen shard -- while tenant affinity keeps each
-tenant's traffic on one shard so the per-shard prediction-score caches
-stay hot.
+tenant's traffic on one shard.
 
 The whole fleet is declared as one ``DeploymentSpec`` (the ``federated``
 preset, re-batched) and the run streams through
@@ -95,8 +94,7 @@ def main() -> None:
 
     print(
         "\nThe eco tenant lands on its contracted cheap-energy region, the "
-        "others spread by load and price; every tenant sticks to one shard "
-        "so its score cache stays hot."
+        "others spread by load and price; every tenant sticks to one shard."
     )
 
 

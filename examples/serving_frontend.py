@@ -5,14 +5,14 @@ A latency-sensitive tenant (energy weight 0.1, p99 SLO) and an
 energy-frugal tenant (energy weight 0.9, tight rate limit) share the same
 HEATS-scheduled cluster through the multi-tenant front-end: requests flow
 through admission control (token buckets, bounded queues), are coalesced
-into batches, placed by HEATS (with the prediction-score cache on the hot
-path), and reported per tenant as p50/p95/p99 latency, throughput,
-rejection rate, and energy per request.
+into batches, placed by HEATS (exact array-native scoring), and reported
+per tenant as p50/p95/p99 latency, throughput, rejection rate, and
+energy per request.
 
 The deployment is declared as a :class:`DeploymentSpec` and served
 through a reusable :class:`Deployment` session: the cluster is profiled
 once, then *two* workloads (the evening rush, then an overnight lull)
-run against the same warm models and score cache -- the second serve
+run against the same warm models -- the second serve
 pays no cold start, which the session's telemetry counters prove.
 
 Run with:  PYTHONPATH=src python examples/serving_frontend.py
@@ -59,10 +59,6 @@ def print_report(report) -> None:
           f"p99 {report.p99_latency_s:.1f} s, "
           f"rejection rate {report.rejection_rate:.1%}, "
           f"{report.energy_per_request_j:.2f} J/request")
-    if report.cache_stats is not None:
-        print(f"score cache: {report.cache_stats.hits} hits / "
-              f"{report.cache_stats.lookups} lookups "
-              f"({report.cache_stats.hit_rate:.0%} hit rate)")
 
     print(f"\n{'tenant':<16s} {'served':>7s} {'reject':>7s} {'p50 (s)':>8s} "
           f"{'p95 (s)':>8s} {'p99 (s)':>8s} {'rps':>6s} {'J/req':>7s} {'SLO':>5s}")

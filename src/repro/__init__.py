@@ -21,7 +21,7 @@ platforms.  This package reproduces the stack on top of simulated hardware:
 * :mod:`repro.usecases`      -- Smart Mirror and the other LEGaTO use cases
   (Section VI).
 * :mod:`repro.serving`       -- multi-tenant request-serving front-end over
-  the HEATS cluster (admission, batching, score cache, SLA telemetry).
+  the HEATS cluster (admission, batching, SLA telemetry).
 * :mod:`repro.federation`    -- federated multi-cluster scheduling: many
   HEATS shards behind one two-level scheduler with tenant affinity and
   cross-shard migration.

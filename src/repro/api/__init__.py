@@ -1,8 +1,8 @@
 """Declarative deployment API: spec in, reusable serving session out.
 
 This package replaces the kwarg-explosion facade (`serve(workload,
-cluster_scale=, use_score_cache=, batch_policy=, heats_config=, seed=,
-num_shards=, autoscale=, autoscale_config=)`) with the shape production
+cluster_scale=, batch_policy=, heats_config=, seed=, num_shards=,
+autoscale=, autoscale_config=)`) with the shape production
 schedulers are actually driven by:
 
 * :mod:`repro.api.spec`       -- :class:`DeploymentSpec`, a frozen,
@@ -15,7 +15,7 @@ schedulers are actually driven by:
   polymorphic build step.
 * :mod:`repro.api.deployment` -- :class:`Deployment`: build the backend
   once, then serve many workloads against warm state (profiled models,
-  score caches, affinity pins, telemetry, elastic topology), with a
+  affinity pins, telemetry, elastic topology), with a
   context-manager lifecycle, an incremental per-tick report stream, and
   auditable session counters.
 

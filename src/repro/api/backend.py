@@ -5,7 +5,7 @@ single cluster, federation, autoscaled federation -- re-deciding the
 shape on every call and rebuilding every layer from scratch.  Here the
 decision is made *once*, from the validated spec, into a
 :class:`Backend`: an object that owns the warm state (profiled
-prediction models, score caches, tenant affinity, telemetry registry,
+prediction models, tenant affinity, telemetry registry,
 elastically grown topology) and serves any number of workloads against
 it.  :class:`~repro.api.deployment.Deployment` holds exactly one backend
 for its whole lifetime.
@@ -21,7 +21,6 @@ from repro.federation.federation import Federation
 from repro.federation.policy import FederationConfig
 from repro.scheduler.cluster import Cluster
 from repro.scheduler.heats import HeatsScheduler
-from repro.serving.cache import PredictionScoreCache
 from repro.serving.gateway import RequestGateway
 from repro.serving.loop import ServingLoop, ServingReport, ServingWorkload
 
@@ -112,18 +111,13 @@ class SingleClusterBackend:
             config=spec.scheduler.to_heats_config(),
             noise_fraction=spec.scheduler.profiling_noise_fraction,
             seed=spec.topology.seed.shard_seed(0),
-            score_cache=(
-                PredictionScoreCache(capacity=spec.scheduler.score_cache_capacity)
-                if spec.scheduler.score_cache
-                else None
-            ),
             metrics=metrics,
         )
 
     def serve(
         self, workload: ServingWorkload, batch_policy: Optional["BatchPolicy"] = None
     ) -> ServingReport:
-        """Serve one workload; models and score cache stay warm between calls.
+        """Serve one workload; the learned models stay warm between calls.
 
         Args:
             workload: tenants plus their request stream.
@@ -206,10 +200,8 @@ class FederatedBackend:
             shard_scale=spec.topology.scale_per_shard,
             heats_config=spec.scheduler.to_heats_config(),
             federation_config=federation_config,
-            use_score_cache=spec.scheduler.score_cache,
             metrics=metrics,
             seed_policy=spec.topology.seed,
-            cache_capacity=spec.scheduler.score_cache_capacity,
         )
         if profiler is not None and profiler.enabled:
             # The router records its routing phase directly; attached the
@@ -219,7 +211,7 @@ class FederatedBackend:
     def serve(
         self, workload: ServingWorkload, batch_policy: Optional["BatchPolicy"] = None
     ) -> ServingReport:
-        """Serve one workload; shard models, caches, and pins stay warm.
+        """Serve one workload; shard models and pins stay warm.
 
         Args:
             workload: tenants plus their request stream.

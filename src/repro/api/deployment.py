@@ -1,7 +1,7 @@
 """The deployment session: build the backend once, serve many workloads.
 
 The old facade rebuilt everything per call -- cluster, profiling
-campaigns, score caches, telemetry -- which made "serve another workload
+campaigns, telemetry -- which made "serve another workload
 on the same deployment" cost a full cold start.  A :class:`Deployment`
 inverts that: :meth:`Deployment.from_spec` validates the spec, builds
 the backend exactly once (the only profiling the session ever pays for a

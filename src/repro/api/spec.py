@@ -7,7 +7,7 @@ kwarg explosion with what production schedulers are actually driven by: a
 frozen, serialisable tree of sections --
 
 * :class:`TopologySpec`  -- shard count, cluster scale, seed policy;
-* :class:`SchedulerSpec` -- HEATS tunables plus the prediction-score cache;
+* :class:`SchedulerSpec` -- HEATS tunables;
 * :class:`ServingSpec`   -- batching and serving-loop cadence;
 * :class:`AutoscaleSpec` -- the elastic control loop's knobs;
 * :class:`TelemetrySpec` -- the metrics bus wiring;
@@ -35,7 +35,7 @@ from repro.api.serialization import dumps_json, dumps_toml, loads_json, loads_to
 from repro.autoscale.policy import AutoscaleConfig
 from repro.core.seeding import SeedPolicy
 from repro.hardware.microserver import MICROSERVER_CATALOG
-from repro.scheduler.heats import HeatsConfig
+from repro.scheduler.heats import HeatsConfig, warn_score_cache_ignored
 from repro.serving.batching import BatchPolicy
 
 
@@ -131,7 +131,7 @@ class TopologySpec:
 
 @dataclass(frozen=True)
 class SchedulerSpec:
-    """HEATS tunables plus the prediction-score cache on the hot path.
+    """HEATS tunables.
 
     Args:
         rescheduling_interval_s: cadence of the migration/rebalancing
@@ -142,9 +142,10 @@ class SchedulerSpec:
             node must beat the current host by before a migration.
         default_energy_weight: energy/performance blend used when a
             request carries no tenant weight.
-        score_cache: attach prediction-score cache(s) to the scoring hot
-            path (one per shard on a federation).
-        score_cache_capacity: LRU entry bound of each score cache.
+        score_cache: **deprecated, ignored** (scoring is always exact);
+            kept so old specs load and round-trip losslessly.  A
+            non-default value warns and changes nothing.
+        score_cache_capacity: **deprecated, ignored**, like ``score_cache``.
         profiling_noise_fraction: measurement noise of the profiling
             campaigns the prediction models are learned from.
     """
@@ -155,6 +156,11 @@ class SchedulerSpec:
     score_cache: bool = True
     score_cache_capacity: int = 4096
     profiling_noise_fraction: float = 0.05
+
+    def __post_init__(self) -> None:
+        # Deprecation shim, handled like ServingSpec.fast_path.
+        if self.score_cache is not True or self.score_cache_capacity != 4096:
+            warn_score_cache_ignored("SchedulerSpec.score_cache(_capacity)")
 
     def validate(self, path: str = "scheduler") -> List[SpecIssue]:
         """Collect every problem with this section.
@@ -180,8 +186,6 @@ class SchedulerSpec:
             issues.append(
                 SpecIssue(f"{path}.default_energy_weight", "must be in [0, 1]")
             )
-        if self.score_cache_capacity < 1:
-            issues.append(SpecIssue(f"{path}.score_cache_capacity", "must be >= 1"))
         if not (0.0 <= self.profiling_noise_fraction < 1.0):
             issues.append(
                 SpecIssue(f"{path}.profiling_noise_fraction", "must be in [0, 1)")
@@ -212,8 +216,8 @@ class SchedulerSpec:
 
         Args:
             config: a legacy ``HeatsConfig`` (None means defaults).
-            score_cache: the legacy ``use_score_cache`` flag.
-            score_cache_capacity: LRU bound of each score cache.
+            score_cache: deprecated and ignored (see the class).
+            score_cache_capacity: deprecated and ignored.
             profiling_noise_fraction: profiling measurement noise.
 
         Returns:

@@ -43,7 +43,7 @@ from repro.runtime.fault_tolerance import (
 from repro.runtime.graph import TaskGraph
 from repro.runtime.ompss import ExecutionTrace, OmpSsRuntime, SchedulingPolicy
 from repro.runtime.task import Task
-from repro.scheduler.heats import HeatsConfig
+from repro.scheduler.heats import HeatsConfig, warn_score_cache_ignored
 from repro.security.secure_task import SecureExecutionReport, SecureTaskExecutor
 from repro.serving.batching import BatchPolicy
 from repro.serving.loop import ServingReport, ServingWorkload
@@ -206,7 +206,7 @@ class LegatoSystem:
         cluster, federation, or autoscaled federation -- is built exactly
         once, and the returned :class:`~repro.api.deployment.Deployment`
         serves any number of workloads against the warm state (profiled
-        prediction models, score caches, affinity pins, telemetry bus,
+        prediction models, affinity pins, telemetry bus,
         elastically grown topology).
 
         Args:
@@ -226,7 +226,7 @@ class LegatoSystem:
     def _spec_from_serve_kwargs(
         self,
         cluster_scale: int,
-        use_score_cache: bool,
+        use_score_cache: Optional[bool],
         batch_policy: Optional[BatchPolicy],
         heats_config: Optional[HeatsConfig],
         seed: int,
@@ -251,6 +251,8 @@ class LegatoSystem:
         )
         from repro.core.seeding import SeedPolicy
 
+        if use_score_cache is not None:
+            warn_score_cache_ignored("LegatoSystem(use_score_cache=)")
         return DeploymentSpec(
             name=self.config.name,
             topology=TopologySpec(
@@ -258,9 +260,7 @@ class LegatoSystem:
                 shards=num_shards,
                 seed=SeedPolicy(base=seed),
             ),
-            scheduler=SchedulerSpec.from_heats_config(
-                heats_config, score_cache=use_score_cache
-            ),
+            scheduler=SchedulerSpec.from_heats_config(heats_config),
             serving=ServingSpec.from_batch_policy(batch_policy),
             autoscale=AutoscaleSpec.from_config(
                 autoscale_config if autoscale_config is not None else self.config.autoscale,
@@ -275,7 +275,7 @@ class LegatoSystem:
         self,
         workload: ServingWorkload,
         cluster_scale: int = 1,
-        use_score_cache: bool = True,
+        use_score_cache: Optional[bool] = None,
         batch_policy: Optional[BatchPolicy] = None,
         heats_config: Optional[HeatsConfig] = None,
         seed: int = 7,
@@ -296,7 +296,7 @@ class LegatoSystem:
             workload: tenants plus their request stream.
             cluster_scale: total ``heats_testbed`` scale (4 * scale nodes);
                 must be divisible by ``num_shards``.
-            use_score_cache: attach prediction-score cache(s).
+            use_score_cache: deprecated and ignored (warns if set).
             batch_policy: optional batching override.
             heats_config: node-level scheduler tunables.
             seed: profiling seed (shards derive independent seeds).
@@ -333,7 +333,7 @@ class LegatoSystem:
         self,
         num_shards: int = 2,
         shard_scale: int = 1,
-        use_score_cache: bool = True,
+        use_score_cache: Optional[bool] = None,
         heats_config: Optional[HeatsConfig] = None,
         federation_config: Optional["FederationConfig"] = None,
         seed: int = 7,
@@ -351,7 +351,7 @@ class LegatoSystem:
         Args:
             num_shards: number of member shards.
             shard_scale: ``heats_testbed`` scale per shard.
-            use_score_cache: attach per-shard prediction-score caches.
+            use_score_cache: deprecated and ignored (warns if set).
             heats_config: node-level scheduler tunables, copied per shard.
             federation_config: shard-selection and migration tunables.
             seed: federation base seed; shard ``i`` profiles with the
@@ -393,7 +393,7 @@ class LegatoSystem:
         num_shards: int = 1,
         shard_scale: int = 1,
         autoscale_config: Optional["AutoscaleConfig"] = None,
-        use_score_cache: bool = True,
+        use_score_cache: Optional[bool] = None,
         heats_config: Optional[HeatsConfig] = None,
         federation_config: Optional["FederationConfig"] = None,
         seed: int = 7,
@@ -412,7 +412,7 @@ class LegatoSystem:
             shard_scale: initial ``heats_testbed`` scale per shard.
             autoscale_config: control-loop tunables; defaults to the
                 deployment configuration's ``autoscale`` section.
-            use_score_cache: attach per-shard prediction-score caches.
+            use_score_cache: deprecated and ignored (warns if set).
             heats_config: node-level scheduler tunables, copied per shard.
             federation_config: shard-selection and migration tunables; its
                 rescheduling interval is overridden by the control

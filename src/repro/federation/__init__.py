@@ -6,8 +6,7 @@ this package adds the layer above it the ROADMAP north star asks for:
 * :mod:`repro.federation.policy`     -- shard profiles (regional energy
   price), federation tunables, and the cheap aggregate shard score.
 * :mod:`repro.federation.shard`      -- :class:`ClusterShard`: one member
-  cluster with its own HEATS scheduler, profiling seed, config copy, and
-  prediction-score cache.
+  cluster with its own HEATS scheduler, profiling seed, and config copy.
 * :mod:`repro.federation.federation` -- :class:`FederatedScheduler`
   (two-level placement, tenant affinity, cross-shard migration),
   :class:`FederatedCluster` (the union view the simulator drives), and

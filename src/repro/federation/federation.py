@@ -7,8 +7,8 @@ capacity aggregates (free CPU/memory, thermal headroom, regional energy
 price), then the existing node-level HEATS scoring *inside* the chosen
 shard only -- so per-request placement work shrinks as the fleet is cut
 into more shards.  Tenant affinity keeps each tenant's traffic on one
-shard (re-routing only when it saturates) so the per-shard prediction
-score caches stay hot, and a cross-shard rescheduling pass drains
+shard (re-routing only when it saturates), and a cross-shard
+rescheduling pass drains
 saturated shards into shards with headroom.
 
 :class:`FederatedScheduler` implements the same ``SchedulerProtocol`` the
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.registry import MetricsRegistry
@@ -38,7 +38,7 @@ from repro.federation.policy import (
 )
 from repro.federation.shard import ClusterShard
 from repro.scheduler.cluster import Cluster
-from repro.scheduler.heats import HeatsConfig
+from repro.scheduler.heats import HeatsConfig, warn_score_cache_ignored
 from repro.scheduler.placement import Placement
 from repro.scheduler.workload import TaskRequest
 
@@ -446,44 +446,52 @@ class FederatedScheduler:
         ) / self._energy_weight_total
         return (1.0 - energy_weight) * perf_pressure + energy_weight * energy_pressure
 
-    def _routing_order(self, request: TaskRequest) -> Tuple[List[ClusterShard], Optional[str]]:
-        """Shards to try in order, plus the tenant's pinned shard name.
+    def _preferred_shard(
+        self, request: TaskRequest
+    ) -> Tuple[Optional[ClusterShard], Optional[str]]:
+        """The tenant's unsaturated, non-draining affinity (or region)
+        shard to try first, and its pinned shard name."""
+        if request.tenant is None or not self.config.sticky_affinity:
+            return None, None
+        pinned = self._affinity.get(request.tenant)
+        if pinned is not None:
+            if pinned in self._draining:
+                return None, pinned
+            shard = self._by_name[pinned]
+            if shard.is_saturated(self.config.saturation_free_core_fraction):
+                return None, pinned
+            return shard, pinned
+        seeded = self._region_shard(request.tenant)
+        if (
+            seeded is None
+            or seeded.name in self._draining
+            or seeded.is_saturated(self.config.saturation_free_core_fraction)
+        ):
+            return None, None
+        self.federation_stats.region_seeded += 1
+        return seeded, None
+
+    def _routing_order(
+        self, request: TaskRequest, preferred: Optional[ClusterShard]
+    ) -> Iterator[ClusterShard]:
+        """Shards to try in order: ``preferred`` first, then by shard score.
 
         Draining shards are excluded outright: anything not yet placed
         (queued requests included) must land on a shard that will still
-        exist when the task finishes.
+        exist when the task finishes.  The ranking is computed only if
+        ``preferred`` declines, which reserves nothing.
         """
+        if preferred is not None:
+            yield preferred
         weight = request.energy_weight
-        candidates = (
-            [s for s in self.shards if s.name not in self._draining]
-            if self._draining
-            else self.shards
+        yield from sorted(
+            (
+                shard
+                for shard in self.shards
+                if shard.name not in self._draining and shard is not preferred
+            ),
+            key=lambda shard: (self._shard_score(shard, weight), shard.name),
         )
-        order = sorted(
-            candidates, key=lambda shard: (self._shard_score(shard, weight), shard.name)
-        )
-        pinned: Optional[str] = None
-        if request.tenant is not None and self.config.sticky_affinity:
-            pinned = self._affinity.get(request.tenant)
-            preferred: Optional[ClusterShard] = None
-            if pinned is not None and pinned not in self._draining:
-                shard = self._by_name[pinned]
-                if not shard.is_saturated(self.config.saturation_free_core_fraction):
-                    preferred = shard
-            elif pinned is None:
-                seeded = self._region_shard(request.tenant)
-                if (
-                    seeded is not None
-                    and seeded.name not in self._draining
-                    and not seeded.is_saturated(
-                        self.config.saturation_free_core_fraction
-                    )
-                ):
-                    preferred = seeded
-                    self.federation_stats.region_seeded += 1
-            if preferred is not None:
-                order = [preferred] + [s for s in order if s.name != preferred.name]
-        return order, pinned
 
     # ------------------------------------------------------------------ #
     # SchedulerProtocol: placement
@@ -527,8 +535,8 @@ class FederatedScheduler:
                     demand = self.metrics.counter(f"router.demand.{request.tenant}")
                     self._m_demand[request.tenant] = demand
                 demand.inc()
-        order, pinned = self._routing_order(request)
-        for shard in order:
+        preferred, pinned = self._preferred_shard(request)
+        for shard in self._routing_order(request, preferred):
             # Aggregate pre-check only: a shard with fewer free cores (or
             # less free memory) in total than requested can never host, so
             # skip it without touching its node index.
@@ -769,8 +777,6 @@ class Federation:
         self.seed_policy = SeedPolicy()
         self.default_shard_scale = 1
         self.default_heats_config: Optional[HeatsConfig] = None
-        self.default_use_score_cache = True
-        self.default_cache_capacity: Optional[int] = None
         self.profile_catalogue: Tuple[ShardProfile, ...] = DEFAULT_SHARD_PROFILES
         self.next_shard_index = len(self.scheduler.shards)
 
@@ -791,19 +797,18 @@ class Federation:
         shard_scale: int = 1,
         heats_config: Optional[HeatsConfig] = None,
         federation_config: Optional[FederationConfig] = None,
-        use_score_cache: bool = True,
+        use_score_cache: Optional[bool] = None,
         seed: int = 7,
         profiles: Optional[Sequence[ShardProfile]] = None,
         metrics: Optional["MetricsRegistry"] = None,
         seed_policy: Optional[SeedPolicy] = None,
-        cache_capacity: Optional[int] = None,
     ) -> "Federation":
         """Build a federation of HEATS testbed shards.
 
         Every shard gets an independent profiling seed (shard ``i``
         profiles with ``seed_policy.shard_seed(i)``) and its own copy of
-        the scheduler config, so no RNG stream, config object, or cache
-        is ever shared between shards.
+        the scheduler config, so no RNG stream or config object is ever
+        shared between shards.
 
         Args:
             num_shards: number of member shards.
@@ -811,15 +816,13 @@ class Federation:
                 each).
             heats_config: node-level scheduler tunables, copied per shard.
             federation_config: shard-selection / migration tunables.
-            use_score_cache: attach a per-shard prediction-score cache.
+            use_score_cache: deprecated and ignored (warns if set).
             seed: federation-level base seed; ignored when ``seed_policy``
                 is given, otherwise wrapped as ``SeedPolicy(base=seed)``.
             profiles: regional profiles; defaults to cycling
                 ``DEFAULT_SHARD_PROFILES``.
             metrics: optional telemetry bus for the routing hot path.
             seed_policy: the deployment-wide seed-derivation rules.
-            cache_capacity: LRU bound of each shard's score cache; None
-                keeps the cache default.
 
         Returns:
             A ready-to-serve :class:`Federation`.
@@ -828,6 +831,8 @@ class Federation:
             raise ValueError("a federation needs at least one shard")
         if shard_scale <= 0:
             raise ValueError("shard scale must be positive")
+        if use_score_cache is not None:
+            warn_score_cache_ignored("Federation.build(use_score_cache=)")
         policy = seed_policy if seed_policy is not None else SeedPolicy(base=seed)
         catalogue = tuple(profiles) if profiles else DEFAULT_SHARD_PROFILES
         profile_cycle = itertools.cycle(catalogue)
@@ -837,10 +842,8 @@ class Federation:
                 next(profile_cycle),
                 scale=shard_scale,
                 heats_config=heats_config,
-                use_score_cache=use_score_cache,
                 metrics=metrics,
                 seed_policy=policy,
-                cache_capacity=cache_capacity,
             )
             for index in range(num_shards)
         ]
@@ -848,8 +851,6 @@ class Federation:
         federation.seed_policy = policy
         federation.default_shard_scale = shard_scale
         federation.default_heats_config = heats_config
-        federation.default_use_score_cache = use_score_cache
-        federation.default_cache_capacity = cache_capacity
         federation.profile_catalogue = catalogue
         return federation
 
@@ -886,10 +887,8 @@ class Federation:
                 profile,
                 scale=self.default_shard_scale,
                 heats_config=self.default_heats_config,
-                use_score_cache=self.default_use_score_cache,
                 metrics=self.metrics,
                 seed_policy=self.seed_policy,
-                cache_capacity=self.default_cache_capacity,
             )
         self.scheduler.add_shard(shard)
         self.cluster.add_shard(shard)
@@ -941,6 +940,7 @@ class Federation:
         """
         node = self.scheduler.shard(shard_name).grow_node(model)
         self.cluster.attach_node(shard_name, node)
+        self.scheduler._node_shard[node.name] = shard_name
         return node.name
 
     def shrink_node(self, shard_name: str, node_name: Optional[str] = None) -> Optional[str]:
@@ -969,6 +969,7 @@ class Federation:
         # drop it, so an invalid request never splits the two indices.
         shard.release_node(node_name)
         self.cluster.detach_node(node_name)
+        del self.scheduler._node_shard[node_name]
         return node_name
 
     def reprice_shard(self, shard_name: str, energy_price_per_kwh: float) -> float:
@@ -1053,10 +1054,10 @@ class Federation:
     ):
         """Serve a workload against warm state (repeatable session entry).
 
-        The profiled prediction models, score caches, tenant affinity
-        pins, and any elastically grown topology all stay warm between
-        calls -- only the per-run serving state (gateway, batcher, SLA
-        tracker, routing stats) is rebuilt.  The previous run must have
+        The profiled prediction models, tenant affinity pins, and any
+        elastically grown topology all stay warm between calls -- only
+        the per-run serving state (gateway, batcher, SLA tracker, routing
+        stats) is rebuilt.  The previous run must have
         drained completely: every completed simulation releases all of
         its reservations, so a non-idle cluster means the caller is
         interleaving runs on shared state.
@@ -1088,7 +1089,7 @@ class Federation:
                 "run; serve runs back-to-back, not interleaved"
             )
         self._served = True
-        # Routing telemetry is per-run in a session: the warm caches and
+        # Routing telemetry is per-run in a session: the warm models and
         # pins carry over, the counters must not.
         self.scheduler.federation_stats = FederationStats()
         return self._run_serving(

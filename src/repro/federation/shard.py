@@ -2,10 +2,8 @@
 
 A shard is an independently operated HEATS deployment: its own cluster,
 its own profiling campaign (independent RNG seed, so measurement noise is
-uncorrelated across shards), its own scheduler-config *copy* (so tuning
-one shard can never drift into another), and its own prediction-score
-cache (so tenant affinity keeps each shard's cache hot for the tenants it
-serves).
+uncorrelated across shards), and its own scheduler-config *copy* (so
+tuning one shard can never drift into another).
 """
 
 from __future__ import annotations
@@ -17,9 +15,12 @@ from repro.core.seeding import SeedPolicy
 from repro.federation.policy import ShardProfile
 from repro.hardware.microserver import MICROSERVER_CATALOG
 from repro.scheduler.cluster import CapacitySnapshot, Cluster, ClusterNode
-from repro.scheduler.heats import HeatsConfig, HeatsScheduler
+from repro.scheduler.heats import (
+    HeatsConfig,
+    HeatsScheduler,
+    warn_score_cache_ignored,
+)
 from repro.scheduler.modeling import ProfilingCampaign
-from repro.serving.cache import PredictionScoreCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.registry import MetricsRegistry
@@ -63,11 +64,10 @@ class ClusterShard:
         scale: int = 1,
         base_seed: int = 7,
         heats_config: Optional[HeatsConfig] = None,
-        use_score_cache: bool = True,
+        use_score_cache: Optional[bool] = None,
         noise_fraction: float = 0.05,
         metrics: Optional["MetricsRegistry"] = None,
         seed_policy: Optional[SeedPolicy] = None,
-        cache_capacity: Optional[int] = None,
     ) -> "ClusterShard":
         """Build shard ``index`` with an independent seed and config copy.
 
@@ -80,7 +80,7 @@ class ClusterShard:
                 is given, otherwise wrapped as ``SeedPolicy(base=...)``.
             heats_config: scheduler tunables; *copied* per shard so no two
                 shards ever share a config object.
-            use_score_cache: attach a per-shard prediction-score cache.
+            use_score_cache: deprecated and ignored (warns if set).
             noise_fraction: profiling measurement noise.
             metrics: optional shared telemetry bus; shard schedulers
                 aggregate their placement signals into it.
@@ -88,8 +88,6 @@ class ClusterShard:
                 profiles with ``seed_policy.shard_seed(index)`` so shards
                 draw from disjoint noise streams instead of replaying
                 identical measurements.
-            cache_capacity: LRU bound of the score cache; None keeps the
-                cache's own default.
 
         Returns:
             A ready-to-route :class:`ClusterShard`.
@@ -100,20 +98,13 @@ class ClusterShard:
         seed = policy.shard_seed(index)
         cluster = Cluster.heats_testbed(scale=scale, prefix=f"shard{index}")
         config = replace(heats_config) if heats_config is not None else HeatsConfig()
-        if use_score_cache:
-            cache = (
-                PredictionScoreCache(capacity=cache_capacity)
-                if cache_capacity is not None
-                else PredictionScoreCache()
-            )
-        else:
-            cache = None
+        if use_score_cache is not None:
+            warn_score_cache_ignored("ClusterShard.build(use_score_cache=)")
         scheduler = HeatsScheduler.with_learned_models(
             cluster,
             config=config,
             noise_fraction=noise_fraction,
             seed=seed,
-            score_cache=cache,
             metrics=metrics,
         )
         return cls(

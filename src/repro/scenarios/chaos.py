@@ -606,7 +606,7 @@ class ChaosScheduler:
     """Transparent scheduler wrapper that injects chaos at the seams.
 
     Placement and rescheduling pass through the wrapped scheduler;
-    everything else (config, score cache, federation stats, autoscaler
+    everything else (config, federation stats, autoscaler
     attachment, shard lookups) is delegated via ``__getattr__`` /
     ``__setattr__``, so the simulator, federation, and autoscaler all
     see the object they expect.

@@ -63,20 +63,12 @@ NODE_DTYPE = np.dtype(
 
 
 class CandidateNames(tuple):
-    """An interned feasible-node-set tuple with a memoised hash.
+    """The interned names of one feasibility mask, in row (insertion) order.
 
-    The cluster interns one instance per distinct feasibility mask, so the
-    serving score cache -- whose keys embed the candidate set -- hashes
-    each distinct set once per topology instead of re-hashing dozens of
-    node-name strings on every lookup.  Equality and ordering are plain
-    tuple semantics, so cache keys built from lists compare identically.
+    One instance per distinct mask between layout changes; it keeps the
+    mask so :meth:`Cluster.candidate_rows` can derive (once) the rows in
+    name order that HEATS scores.  Plain tuple equality and ordering.
     """
-
-    def __hash__(self) -> int:
-        cached = getattr(self, "_hash", None)
-        if cached is None:
-            cached = self._hash = tuple.__hash__(self)
-        return cached
 
 
 @dataclass(frozen=True)
@@ -307,9 +299,12 @@ class Cluster:
         # reserved_power) so capacity-change deltas never read numpy
         # scalars back out of the table on the reserve/release hot path.
         self._prev_capacity: Dict[str, Tuple[int, float, float]] = {}
-        # Interned feasible-set name tuples keyed by mask bytes; cleared
-        # whenever the row -> name mapping can change (membership churn).
+        # Interned feasible-set name tuples keyed by mask bytes, and the
+        # live rows in name order; both reset, with a layout version bump,
+        # whenever the row -> name mapping changes (see _layout_changed).
         self._names_memo: Dict[bytes, CandidateNames] = {}
+        self._name_order: Optional[np.ndarray] = None
+        self._layout_version = 0
         # Feasibility answers keyed by the *request* shape, valid only
         # between capacity changes: cleared on every reserve/release and
         # on membership churn.  Placement bursts (the retry pass and the
@@ -348,8 +343,16 @@ class Cluster:
         self._row_of = {name: row for row, name in enumerate(names)}
         self._n_rows = len(names)
         self._tombstones = 0
-        self._names_memo.clear()
+        self._layout_changed()
         self._refresh_columns()
+
+    def _layout_changed(self) -> None:
+        # Interned name sets carry row indices, so every memo holding one
+        # goes too.
+        self._names_memo.clear()
+        self._shape_feasibility.clear()
+        self._name_order = None
+        self._layout_version += 1
 
     def _node_reserved_power_w(self, node: ClusterNode) -> float:
         used_fraction = 1.0 - node._free_cores / node.total.cores
@@ -440,8 +443,7 @@ class Cluster:
         shape = (node.total.cores, node.total.memory_gib)
         self._shape_counts[shape] = self._shape_counts.get(shape, 0) + 1
         self._membership_version += 1
-        self._names_memo.clear()
-        self._shape_feasibility.clear()
+        self._layout_changed()
         self._index_node(node)
         node.subscribe(self._on_capacity_change)
         self._capacity_cache = None
@@ -489,8 +491,7 @@ class Cluster:
         self._idle.discard(name)
         del self._nodes[name]
         del self._prev_capacity[name]
-        self._names_memo.clear()
-        self._shape_feasibility.clear()
+        self._layout_changed()
         self._capacity_cache = None
         if self._tombstones > len(self._nodes):
             self._compact_table()
@@ -540,6 +541,30 @@ class Cluster:
         return self._membership_version
 
     @property
+    def layout_version(self) -> int:
+        """Counter bumped by node adds, removes and table compaction."""
+        return self._layout_version
+
+    def row_names(self) -> List[Optional[str]]:
+        """Node name per capacity-table row (None for a tombstoned row)."""
+        return self._row_names
+
+    def name_order(self) -> np.ndarray:
+        """Live rows sorted by node name (memoised per layout)."""
+        if self._name_order is None:
+            row_of = self._row_of
+            self._name_order = np.array([row_of[n] for n in sorted(row_of)], dtype=np.intp)
+        return self._name_order
+
+    def candidate_rows(self, names: CandidateNames) -> np.ndarray:
+        """Rows of a current :meth:`feasible_node_names` set, in name order."""
+        rows = names.__dict__.get("rows")
+        if rows is None:
+            order = self.name_order()
+            rows = names.rows = order[names.mask[order]]
+        return rows
+
+    @property
     def array_nbytes(self) -> int:
         """Bytes currently allocated to the structured capacity table."""
         return self._table.nbytes
@@ -552,14 +577,6 @@ class Cluster:
         """
         row = np.void(self._table[self._row_of[name]])
         return row
-
-    def _feasible_mask(self, cores: int, memory_gib: float) -> np.ndarray:
-        n = self._n_rows
-        mask = self._col_free_cores[:n] >= cores
-        mask &= self._col_free_memory[:n] >= memory_gib
-        if self._tombstones:
-            mask &= self._col_active[:n]
-        return mask
 
     def has_feasible_node(self, cores: int, memory_gib: float) -> bool:
         """Whether some node currently has both the cores and the memory.
@@ -704,9 +721,7 @@ class Cluster:
         shape between two capacity changes are answered from a dict
         (cleared on every reserve/release); otherwise one vectorised mask
         over the capacity table, then an interned :class:`CandidateNames`
-        tuple per distinct mask -- node objects are never touched, and
-        the interned tuple's cached hash makes it cheap as a score-cache
-        key component.
+        tuple per distinct mask -- node objects are never touched.
         """
         shape = (cores, memory_gib)
         names = self._shape_feasibility.get(shape)
@@ -724,6 +739,7 @@ class Cluster:
             names = CandidateNames(
                 row_names[row] for row in np.flatnonzero(mask)
             )
+            names.mask = mask
             if len(self._names_memo) >= 8192:
                 self._names_memo.clear()
             self._names_memo[key] = names

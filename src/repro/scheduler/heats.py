@@ -18,26 +18,19 @@ the task is migrated to the new host.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    List,
-    Mapping,
-    NamedTuple,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-)
+import warnings
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.registry import MetricsRegistry
 
+from repro.hardware.microserver import WorkloadKind
 from repro.scheduler.cluster import Cluster, ClusterNode
 from repro.scheduler.modeling import PredictionModelSet, ProfilingCampaign
-from repro.scheduler.monitoring import ClusterMonitor
-from repro.scheduler.placement import Placement, PlacementEngine
+from repro.scheduler.placement import Placement
 from repro.scheduler.workload import TaskRequest
 
 
@@ -59,14 +52,7 @@ class HeatsConfig:
 
 
 class NodeScore(NamedTuple):
-    """Score breakdown for one candidate node (lower is better).
-
-    A named tuple rather than a (frozen) dataclass: the scoring hot path
-    constructs one per (request, candidate) model prediction, and tuple
-    construction skips the per-field ``object.__setattr__`` a frozen
-    dataclass pays.  Field access and ordering semantics are unchanged
-    for every consumer (all read attributes).
-    """
+    """Score breakdown for one candidate node (lower is better)."""
 
     node: str
     predicted_time_s: float
@@ -76,27 +62,60 @@ class NodeScore(NamedTuple):
     score: float
 
 
-class ScoreCacheProtocol(Protocol):
-    """What the scheduler needs from a prediction-score cache.
+#: per-row coefficient status: usable; no learned model (skipped); a model
+#: lacking the workload (``KeyError``).
+_USABLE, _NO_MODEL, _NO_WORKLOAD = 0, 1, 2
+#: row of each workload in the coefficient tensor.
+_KIND_INDEX = {kind: index for index, kind in enumerate(WorkloadKind)}
 
-    Implemented by :class:`repro.serving.cache.PredictionScoreCache`; kept
-    as a protocol so the scheduler does not depend on the serving layer.
+
+def _no_workload(name: str, workload: WorkloadKind) -> KeyError:
+    return KeyError(f"node {name} has no learned model for workload {workload.value}")
+
+
+def _predict(coef: Sequence[np.ndarray], gops, cores) -> Tuple[np.ndarray, np.ndarray]:
+    """Predicted (time_s, energy_j) per node.
+
+    ``coef`` holds the four coefficient arrays over the same nodes;
+    ``gops`` and ``cores`` are scalars or (tasks, 1) columns.  Each
+    expression keeps the operation order of ``NodeModel.predict_time_s``
+    and ``predict_energy_j``, so every element is the float a scalar loop
+    gives.
     """
+    per_gop, slope, intercept, node_cores = coef
+    share = cores / node_cores
+    np.minimum(share, 1.0, out=share)
+    time_s = per_gop * gops / share
+    energy_j = slope * gops
+    energy_j += intercept
+    np.maximum(energy_j, 0.0, out=energy_j)
+    return time_s, energy_j
 
-    def key_for(
-        self, request: TaskRequest, candidate_names: Sequence[str], energy_weight: float
-    ) -> object:
-        ...
 
-    def get(self, key: object) -> Optional[Tuple[NodeScore, ...]]:
-        ...
+def _blend(time_s, energy_j, weight, feasible: Optional[np.ndarray] = None):
+    """(normalised time, normalised energy, weighted score).
 
-    def put(self, key: object, scores: Sequence[NodeScore]) -> None:
-        ...
+    Each row normalises by its candidate-set maximum; with ``feasible``
+    (tasks x nodes) infeasible cells count as 0.0, as the scalar loop's
+    maxima also start from 0.0.  A zero maximum divides by 1.0.
+    """
+    if feasible is None:
+        peaks = (np.maximum.reduce(time_s) or 1.0, np.maximum.reduce(energy_j) or 1.0)
+    else:
+        peaks = np.where(feasible, (time_s, energy_j), 0.0).max(axis=2, keepdims=True)
+        peaks[peaks == 0.0] = 1.0
+    normalised_time = time_s / peaks[0]
+    normalised_energy = energy_j / peaks[1]
+    score = (1.0 - weight) * normalised_time + weight * normalised_energy
+    return normalised_time, normalised_energy, score
 
 
 class HeatsScheduler:
-    """Heterogeneity- and energy-aware scheduler."""
+    """Heterogeneity- and energy-aware scheduler with exact array scoring.
+
+    Every float keeps the scalar formula's operation order, so decisions
+    are bit-identical to scoring the candidates one by one.
+    """
 
     name = "heats"
     supports_rescheduling = True
@@ -105,12 +124,13 @@ class HeatsScheduler:
         self,
         models: PredictionModelSet,
         config: Optional[HeatsConfig] = None,
-        score_cache: Optional[ScoreCacheProtocol] = None,
         metrics: Optional["MetricsRegistry"] = None,
     ) -> None:
         self.models = models
         self.config = config if config is not None else HeatsConfig()
-        self.score_cache = score_cache
+        # (key, coef, status): coefficient columns valid for one
+        # (cluster, layout version, model-set version) key.
+        self._columns_memo: Optional[tuple] = None
         # Placement instruments are bound once; shard schedulers sharing a
         # registry aggregate into the same pair of instruments.
         if metrics is not None:
@@ -120,92 +140,40 @@ class HeatsScheduler:
             self._m_place_calls = None
             self._m_candidates = None
 
-    # ------------------------------------------------------------------ #
-    # Scoring
-    # ------------------------------------------------------------------ #
-    def _score_names(
-        self,
-        request: TaskRequest,
-        names: Sequence[str],
-        energy_weight: Optional[float] = None,
-    ) -> Sequence[NodeScore]:
-        """Score candidate node *names* for one request, best (lowest) first.
+    def _columns(self, cluster: Cluster) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """``(coef, status)`` of every workload, aligned to ``cluster``'s rows.
 
-        The name-based core of scoring: the model set predicts by node
-        name, so the hot placement path never needs node objects at all --
-        candidates arrive straight from the cluster's vectorised
-        feasibility pass.  When a score cache is attached, the ranked list
-        is memoised under a (task kind, resource shape, candidate set)
-        key so repeated serving traffic skips the per-node model
-        predictions; a hit returns the cached tuple itself (callers must
-        not mutate it).
+        ``coef`` is (workloads, 4, rows): time_s_per_gop, energy_slope,
+        energy_intercept, node_cores, with ones on unusable and tombstoned
+        rows.  ``status`` holds each (workload, row)'s ``_USABLE`` /
+        ``_NO_MODEL`` / ``_NO_WORKLOAD``, or is None when all are usable.
         """
-        if not names:
-            return ()
-        weight = request.energy_weight if energy_weight is None else energy_weight
-        cache_key: Optional[object] = None
-        if self.score_cache is not None:
-            cache_key = self.score_cache.key_for(request, names, weight)
-            cached = self.score_cache.get(cache_key)
-            if cached is not None:
-                return cached
-        # One flat-dict entry per candidate replaces the per-model map
-        # lookups; the arithmetic mirrors NodeModel.predict_pair exactly
-        # (same operation order, so identical floats).
-        flat = self.models.flat_for(request.workload)
-        gops = request.gops
-        req_cores = request.cores
-        predictions: List[Tuple[str, float, float]] = []
-        max_time = 0.0
-        max_energy = 0.0
-        for name in names:
-            entry = flat.get(name)
-            if entry is None:
-                if self.models.get(name) is None:
-                    continue
-                raise KeyError(
-                    f"node {name} has no learned model for workload "
-                    f"{request.workload.value}"
-                )
-            per_gop, slope, intercept, node_cores = entry
-            share = req_cores / node_cores
-            if share > 1.0:
-                share = 1.0
-            elif share <= 0:
-                raise ValueError("core share must be positive")
-            time_s = per_gop * gops / share
-            energy_j = slope * gops + intercept
-            if energy_j < 0.0:
-                energy_j = 0.0
-            if time_s > max_time:
-                max_time = time_s
-            if energy_j > max_energy:
-                max_energy = energy_j
-            predictions.append((name, time_s, energy_j))
-        if not predictions:
-            return ()
-        max_time = max_time or 1.0
-        max_energy = max_energy or 1.0
-        time_weight = 1.0 - weight
-        scores: List[NodeScore] = []
-        append = scores.append
-        for name, time_s, energy_j in predictions:
-            normalised_time = time_s / max_time
-            normalised_energy = energy_j / max_energy
-            append(
-                NodeScore(
-                    name,
-                    time_s,
-                    energy_j,
-                    normalised_time,
-                    normalised_energy,
-                    time_weight * normalised_time + weight * normalised_energy,
-                )
+        key = (cluster, cluster.layout_version, self.models.version)
+        if self._columns_memo is None or self._columns_memo[0] != key:
+            flats = [self.models.flat_for(kind) for kind in WorkloadKind]
+            names = cluster.row_names()
+            coef = np.array(
+                [[flat.get(n, (1.0, 1.0, 1.0, 1)) for n in names] for flat in flats],
+                dtype=np.float64,
             )
-        scores.sort(key=lambda s: (s.score, s.node))
-        if cache_key is not None:
-            self.score_cache.put(cache_key, scores)
-        return scores
+            status = np.array(
+                [
+                    [
+                        _USABLE if n is None or n in flat
+                        else _NO_MODEL if self.models.get(n) is None
+                        else _NO_WORKLOAD
+                        for n in names
+                    ]
+                    for flat in flats
+                ],
+                dtype=np.int8,
+            )
+            self._columns_memo = (
+                key,
+                np.ascontiguousarray(coef.transpose(0, 2, 1)),
+                status if status.any() else None,
+            )
+        return self._columns_memo[1:]
 
     def score_candidates(
         self,
@@ -213,16 +181,44 @@ class HeatsScheduler:
         candidates: Sequence[ClusterNode],
         energy_weight: Optional[float] = None,
     ) -> List[NodeScore]:
-        """Score all candidate nodes for one request, best (lowest) first.
+        """Score candidate nodes for one request, best (lowest) first.
 
-        Object-based convenience over :meth:`_score_names` (the reschedule
-        path and external callers hold node objects).
+        The full breakdown behind a decision, for callers holding node
+        objects (the federation's cross-shard migration, tools, tests).
+        Nodes without a learned model are skipped; a model lacking the
+        request's workload raises ``KeyError``.
+
+        Args:
+            request: the task to score.
+            candidates: the nodes to score it on, in any order.
+            energy_weight: overrides ``request.energy_weight``.
+
+        Returns:
+            One :class:`NodeScore` per scored node, sorted by
+            ``(score, node)`` -- the same tie-break as :meth:`place`.
         """
-        return list(
-            self._score_names(
-                request, [node.name for node in candidates], energy_weight
-            )
+        flat = self.models.flat_for(request.workload)
+        names: List[str] = []
+        entries = []
+        for node in candidates:
+            entry = flat.get(node.name)
+            if entry is None:
+                if self.models.get(node.name) is None:
+                    continue
+                raise _no_workload(node.name, request.workload)
+            names.append(node.name)
+            entries.append(entry)
+        if not names:
+            return []
+        weight = request.energy_weight if energy_weight is None else energy_weight
+        coef = np.array(entries, dtype=np.float64).T
+        time_s, energy_j = _predict(coef, request.gops, request.cores)
+        blended = _blend(time_s, energy_j, weight)
+        scored = sorted(
+            zip(names, time_s.tolist(), energy_j.tolist(), *(a.tolist() for a in blended)),
+            key=lambda entry: (entry[5], entry[0]),  # (score, node)
         )
+        return [NodeScore(*entry) for entry in scored]
 
     # ------------------------------------------------------------------ #
     # Scheduler interface used by the cluster simulator
@@ -230,11 +226,10 @@ class HeatsScheduler:
     def place(self, request: TaskRequest, cluster: Cluster, time_s: float) -> Optional[str]:
         """Pick a node for a new request; None when nothing can host it now.
 
-        Candidate discovery is one vectorised comparison against the
-        cluster's structured capacity table (free cores and memory live in
-        numpy columns), returning candidate *names* directly -- the
-        placement hot path the serving benchmarks exercise never touches a
-        node object.
+        Zero or one feasible candidate returns at once.  Otherwise the
+        candidates' coefficients are gathered in node-name order and
+        scored in one pass; ``argmin``'s first occurrence is exactly the
+        ``(score, name)`` tie-break.
 
         Args:
             request: the task to place.
@@ -256,10 +251,31 @@ class HeatsScheduler:
             self._m_candidates.record(float(len(names)))
         if not names:
             return None
-        scored = self._score_names(request, names)
-        if not scored:
-            return None
-        return scored[0].node
+        workload = request.workload
+        if len(names) == 1:
+            name = names[0]
+            if name in self.models.flat_for(workload):
+                return name
+            if self.models.get(name) is None:
+                return None
+            raise _no_workload(name, workload)
+        coef, status = self._columns(cluster)
+        kind = _KIND_INDEX[workload]
+        rows = cluster.candidate_rows(names)
+        if status is not None:
+            status = status[kind, rows]
+            wrong = rows[status == _NO_WORKLOAD]
+            if len(wrong):
+                # The first in row order, as a scan of ``names`` meets it.
+                raise _no_workload(cluster.row_names()[wrong.min()], workload)
+            rows = rows[status == _USABLE]
+            if not len(rows):
+                return None
+        time_s, energy_j = _predict(
+            [column[rows] for column in coef[kind]], request.gops, request.cores
+        )
+        score = _blend(time_s, energy_j, request.energy_weight)[2]
+        return cluster.row_names()[rows[score.argmin()]]
 
     def reschedule(
         self,
@@ -269,33 +285,58 @@ class HeatsScheduler:
     ) -> List[Tuple[str, str]]:
         """Return (task_id, target_node) migrations that improve the fit.
 
-        A migration is proposed when the best alternative node scores better
-        than the current host by more than the configured threshold.  The
-        current host is always part of the comparison, scored on the
-        *remaining* work, so short-remaining tasks naturally stay put.
-        """
-        migrations: List[Tuple[str, str]] = []
-        for placement in running:
-            request = placement.request
-            current_node = cluster.node(placement.node)
-            candidates = cluster.feasible_nodes(request.cores, request.memory_gib)
-            if current_node not in candidates:
-                candidates = list(candidates) + [current_node]
-            scored = self.score_candidates(request, candidates)
-            if not scored:
-                continue
-            current_score = next((s for s in scored if s.node == placement.node), None)
-            best = scored[0]
-            if current_score is None or best.node == placement.node:
-                continue
-            improvement = current_score.score - best.score
-            if improvement > self.config.migration_improvement_threshold:
-                migrations.append((request.task_id, best.node))
-        return migrations
+        Each task is scored against the nodes that can host it now plus
+        its current host (even when full), every one of them on the
+        task's full ``request.gops`` -- not its remaining work.  A task
+        migrates when the best node (ties to the smaller name) beats its
+        host by more than the migration threshold; a task whose host has
+        no learned model stays.  All tasks are scored in one masked
+        tasks x nodes pass (host columns forced on).
 
-    # ------------------------------------------------------------------ #
-    # Convenience constructor
-    # ------------------------------------------------------------------ #
+        Returns:
+            Migrations in ``running`` order.
+        """
+        if not running:
+            return []
+        requests = [placement.request for placement in running]
+        order = cluster.name_order()
+        row_names = cluster.row_names()
+        column_of = np.empty(len(row_names), dtype=np.intp)
+        column_of[order] = np.arange(len(order))
+        # An unknown host raises KeyError here.
+        hosts = column_of[[cluster._row_of[placement.node] for placement in running]]
+        tasks = np.arange(len(running))
+        feasible = cluster.feasible_shape_matrix(
+            np.array([r.cores for r in requests], dtype=np.int64),
+            np.array([r.memory_gib for r in requests], dtype=np.float64),
+        )[:, order]
+        feasible[tasks, hosts] = True
+        coef, status = self._columns(cluster)
+        kinds = np.array([_KIND_INDEX[r.workload] for r in requests])
+        if status is not None:
+            status = status[kinds][:, order]
+            wrong = feasible & (status == _NO_WORKLOAD)
+            if wrong.any():
+                task, column = np.argwhere(wrong)[0]
+                raise _no_workload(row_names[order[column]], requests[task].workload)
+            feasible &= status == _USABLE  # a model-less host stays
+        time_s, energy_j = _predict(
+            coef[kinds][:, :, order].transpose(1, 0, 2),
+            np.array([[r.gops] for r in requests]),
+            np.array([[float(r.cores)] for r in requests]),
+        )
+        weight = np.array([[r.energy_weight] for r in requests])
+        score = _blend(time_s, energy_j, weight, feasible)[2]
+        score[~feasible] = np.inf
+        best = score.argmin(axis=1)
+        movers = np.flatnonzero((best != hosts) & feasible[tasks, hosts])
+        improvement = score[movers, hosts[movers]] - score[movers, best[movers]]
+        threshold = self.config.migration_improvement_threshold
+        return [
+            (requests[task].task_id, row_names[order[best[task]]])
+            for task in movers[improvement > threshold]
+        ]
+
     @classmethod
     def with_learned_models(
         cls,
@@ -303,14 +344,29 @@ class HeatsScheduler:
         config: Optional[HeatsConfig] = None,
         noise_fraction: float = 0.05,
         seed: int = 7,
-        score_cache: Optional[ScoreCacheProtocol] = None,
+        score_cache: object = None,
         metrics: Optional["MetricsRegistry"] = None,
     ) -> "HeatsScheduler":
-        """Run the profiling campaign on the cluster and build the scheduler."""
+        """Run the profiling campaign on the cluster and build the scheduler.
+
+        ``score_cache`` is **deprecated and ignored** (scoring is always
+        exact); anything but None warns.
+        """
+        if score_cache is not None:
+            warn_score_cache_ignored("HeatsScheduler.with_learned_models(score_cache=)")
         campaign = ProfilingCampaign(cluster, noise_fraction=noise_fraction, seed=seed).run()
-        return cls(
-            models=campaign.fit(),
-            config=config,
-            score_cache=score_cache,
-            metrics=metrics,
-        )
+        return cls(models=campaign.fit(), config=config, metrics=metrics)
+
+
+def warn_score_cache_ignored(what: str) -> None:
+    """The deprecation warning every retired score-cache knob emits.
+
+    Args:
+        what: the knob the caller set, e.g. ``"SchedulerSpec.score_cache"``.
+    """
+    warnings.warn(
+        f"{what} is deprecated and ignored: the prediction-score cache was "
+        "removed and HEATS scoring is always exact",
+        DeprecationWarning,
+        stacklevel=3,
+    )

@@ -63,30 +63,6 @@ class NodeModel:
             raise ValueError("core share must be positive")
         return per_gop * request.gops / share
 
-    def predict_pair(self, request: TaskRequest) -> Tuple[float, float]:
-        """(time_s, energy_j) with one workload lookup per map.
-
-        The scoring hot path's fused form of :meth:`predict_time_s` +
-        :meth:`predict_energy_j`: identical arithmetic (so identical
-        floats), minus the repeated membership checks and method calls.
-        """
-        workload = request.workload
-        per_gop = self.time_seconds_per_gop.get(workload)
-        if per_gop is None:
-            raise KeyError(
-                f"node {self.node} has no learned model for workload {workload.value}"
-            )
-        share = request.cores / self.node_cores
-        if share > 1.0:
-            share = 1.0
-        if share <= 0:
-            raise ValueError("core share must be positive")
-        gops = request.gops
-        energy = self.energy_joules_per_gop[workload] * gops + self.energy_intercept_j[workload]
-        if energy < 0.0:
-            energy = 0.0
-        return (per_gop * gops / share, energy)
-
     def predict_energy_j(self, request: TaskRequest) -> float:
         if request.workload not in self.energy_joules_per_gop:
             raise KeyError(
@@ -107,6 +83,7 @@ class PredictionModelSet:
         #: lazily built per-workload scoring parameters (see
         #: :meth:`flat_for`); cleared whenever membership changes.
         self._flat: Dict[WorkloadKind, Dict[str, Tuple[float, float, float, int]]] = {}
+        self._version = 0
 
     def model(self, node_name: str) -> NodeModel:
         if node_name not in self._models:
@@ -118,13 +95,18 @@ class PredictionModelSet:
         alternative to a ``in`` check followed by :meth:`model`)."""
         return self._models.get(node_name)
 
+    @property
+    def version(self) -> int:
+        """Counter bumped by every :meth:`add` / :meth:`remove`."""
+        return self._version
+
     def flat_for(self, workload: WorkloadKind) -> Dict[str, Tuple[float, float, float, int]]:
         """Scoring parameters for one workload, flattened per node.
 
         Maps ``node -> (time_s_per_gop, energy_slope_j_per_gop,
         energy_intercept_j, node_cores)`` for exactly the nodes holding a
-        learned model of ``workload`` -- the scoring hot path reads one
-        dict entry per candidate instead of three per-model map lookups.
+        learned model of ``workload`` -- what HEATS builds its coefficient
+        columns from.
         Built lazily and invalidated on :meth:`add`/:meth:`remove`; the
         per-model parameter maps themselves are written only when models
         are (re)learned, which always goes through those methods.
@@ -153,6 +135,7 @@ class PredictionModelSet:
         """
         self._models[model.node] = model
         self._flat.clear()
+        self._version += 1
 
     def remove(self, node_name: str) -> None:
         """Drop a node's model (elastic scale-down).
@@ -163,6 +146,7 @@ class PredictionModelSet:
         """
         self._models.pop(node_name, None)
         self._flat.clear()
+        self._version += 1
 
     def __contains__(self, node_name: str) -> bool:
         return node_name in self._models

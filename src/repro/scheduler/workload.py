@@ -26,8 +26,7 @@ class TaskRequest:
 
     ``tenant`` identifies the serving customer the request belongs to (None
     for anonymous benchmark streams); the federation layer uses it to keep
-    a tenant's traffic on its affinity shard so per-shard prediction-score
-    caches stay hot.
+    a tenant's traffic on its affinity shard.
     """
 
     task_id: str

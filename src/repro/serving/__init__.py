@@ -9,8 +9,8 @@ stream of user requests" to "tasks placed on the cluster":
 * :mod:`repro.serving.batching`  -- coalesces compatible requests (same
   tenant / use case / resource shape) into :class:`TaskRequest` batches
   with deadline-aware flushing.
-* :mod:`repro.serving.cache`     -- LRU prediction-score cache so HEATS
-  scoring is not recomputed per request on the hot path.
+* :mod:`repro.serving.cache`     -- the retired LRU prediction-score
+  cache, kept importable but attached to nothing (scoring is exact).
 * :mod:`repro.serving.endpoints` -- the LEGaTO use cases exposed as
   servable endpoints plus a synthetic traffic generator.
 * :mod:`repro.serving.sla`       -- per-tenant SLA telemetry (p50/p95/p99

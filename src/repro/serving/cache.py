@@ -1,21 +1,13 @@
-"""LRU prediction-score cache for the HEATS hot path.
+"""The retired LRU prediction-score cache: unattached, kept importable.
 
-Serving traffic is highly repetitive: thousands of requests per minute
-share a handful of (use case, resource shape) combinations, and the
-feasible node set only changes when load shifts.  Re-running the HEATS
-scoring pipeline (per-node model prediction, normalisation, ranking) for
-every placement is therefore mostly recomputation.  The cache memoises the
-ranked :class:`~repro.scheduler.heats.NodeScore` list under a key built
-from the task kind, the request's resource shape (work and weight
-quantised into buckets), and the candidate node set -- which encodes the
-cluster load, since feasibility is what load changes.
-
-Quantising work into geometric buckets trades a bounded scoring error
-(within one bucket the ranking of candidate nodes is nearly always
-identical, because predicted time is linear and predicted energy affine in
-the work amount) for a high hit rate.  Predictions are only used to *rank*
-nodes; actual execution time and energy always come from the cluster
-model, so a cache hit never corrupts the simulation accounting.
+It memoised ranked :class:`~repro.scheduler.heats.NodeScore` lists under
+keys that bucketed work and energy weight, so a hit could return a
+ranking made for a different request, and on large clusters it was
+slower than scoring.  HEATS scoring is now exact and nothing attaches
+this class (``ServingReport.cache_stats`` is always None).  It stays for
+importers and because the serving benchmark's tracer wraps
+:meth:`PredictionScoreCache.key_for`, ``get`` and ``put`` by name, so
+those remain plain methods; the traced ``cache.*`` metrics read 0.
 """
 
 from __future__ import annotations
@@ -83,22 +75,12 @@ class PredictionScoreCache:
         candidate_names: Sequence[str],
         energy_weight: float,
     ) -> CacheKey:
-        # Tuples pass through uncopied: the cluster's feasibility pass
-        # hands over interned hash-caching tuples, and rebuilding them
-        # would throw that cached hash away (a plain tuple built from the
-        # same names stays an equal key, so hit/miss accounting is
-        # unchanged either way).
-        names = (
-            candidate_names
-            if isinstance(candidate_names, tuple)
-            else tuple(candidate_names)
-        )
         return (
             request.workload,
             request.cores,
             self.gops_bucket(request.gops),
             int(energy_weight * self.weight_buckets),
-            names,
+            tuple(candidate_names),
         )
 
     # ------------------------------------------------------------------ #

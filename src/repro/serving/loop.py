@@ -102,8 +102,7 @@ class ServingReport:
     #: per-member completion instants, index-aligned with ``latencies_s``
     #: (what ``Deployment.serve_iter`` buckets into its tick stream).
     completions_s: List[float] = field(default_factory=list)
-    #: this run's score-cache delta (a snapshot -- later runs on a warm
-    #: session never mutate it); None when the scheduler has no cache.
+    #: **deprecated**: always None (the prediction-score cache is gone).
     cache_stats: Optional[CacheStats] = None
     #: routing telemetry when the backend is a federation (a
     #: :class:`~repro.federation.federation.FederationStats`), else None.
@@ -409,7 +408,7 @@ class ServingLoop:
 
         Returns:
             The :class:`ServingReport` for the run (per-tenant SLA
-            telemetry, simulation outcome, cache and federation stats).
+            telemetry, simulation outcome, federation stats).
         """
         if self._consumed:
             # Gateway buckets, tracker accumulators, and cluster state all
@@ -419,13 +418,6 @@ class ServingLoop:
                 "(and cluster) per serving run"
             )
         self._consumed = True
-        # Baseline for the per-run cache delta: on a warm session the live
-        # CacheStats keeps accumulating across runs, and attaching the live
-        # object would let a later run retroactively mutate this report.
-        cache = getattr(self.scheduler, "score_cache", None)
-        cache_baseline = (
-            CacheStats(**vars(cache.stats)) if cache is not None else None
-        )
         for tenant in self.gateway.tenants:
             self.tracker.set_latency_slo(tenant.name, tenant.latency_slo_s)
         with self.profiler.phase("ingest") if self._profile else NULL_PHASE:
@@ -451,13 +443,9 @@ class ServingLoop:
         arrivals_end = max((r.arrival_s for r in requests), default=0.0)
         horizon = max(arrivals_end, simulation.makespan_s)
         with self.profiler.phase("rollup") if self._profile else NULL_PHASE:
-            return self._rollup(
-                simulation, by_task_id, batches, horizon, cache, cache_baseline
-            )
+            return self._rollup(simulation, by_task_id, batches, horizon)
 
-    def _rollup(
-        self, simulation, by_task_id, batches, horizon, cache, cache_baseline
-    ) -> ServingReport:
+    def _rollup(self, simulation, by_task_id, batches, horizon) -> ServingReport:
         """Map completions back to members and assemble the report."""
         latencies: List[float] = []
         completions: List[float] = []
@@ -512,14 +500,6 @@ class ServingLoop:
         # unknown-tenant rejections the gateway keeps no stats for), so the
         # overall numbers always agree with the per-tenant reports.
         tenant_reports = self.tracker.reports(horizon)
-        if cache is not None:
-            cache_stats = CacheStats(
-                hits=cache.stats.hits - cache_baseline.hits,
-                misses=cache.stats.misses - cache_baseline.misses,
-                evictions=cache.stats.evictions - cache_baseline.evictions,
-            )
-        else:
-            cache_stats = None
         autoscaler = getattr(self.scheduler, "autoscaler", None)
         return ServingReport(
             tenant_reports=tenant_reports,
@@ -532,7 +512,6 @@ class ServingLoop:
             dropped=dropped,
             latencies_s=latencies,
             completions_s=completions,
-            cache_stats=cache_stats,
             federation_stats=getattr(self.scheduler, "federation_stats", None),
             autoscale_report=(
                 autoscaler.report(horizon) if autoscaler is not None else None

@@ -52,11 +52,23 @@ class TestFederationBuild:
         seeds = {shard.seed for shard in federation.shards}
         assert len(seeds) == len(federation.shards)
 
-    def test_shards_never_share_config_or_cache_objects(self, federation):
+    def test_shards_never_share_config_objects(self, federation):
         configs = [shard.scheduler.config for shard in federation.shards]
-        caches = [shard.scheduler.score_cache for shard in federation.shards]
         assert configs[0] is not configs[1]
-        assert caches[0] is not None and caches[0] is not caches[1]
+
+    def test_score_cache_arguments_are_ignored_shims(self, federation):
+        with pytest.warns(DeprecationWarning, match="use_score_cache"):
+            shimmed = Federation.build(
+                num_shards=2, shard_scale=1, seed=11, use_score_cache=True
+            )
+        assert not any(hasattr(s.scheduler, "score_cache") for s in shimmed.shards)
+        # Scoring is exact either way: every shard places identically.
+        for index in range(6):
+            request = _request(f"t{index}", cores=1 + index % 2, gops=10.0 * (index + 1))
+            for plain, other in zip(federation.shards, shimmed.shards):
+                assert plain.scheduler.place(
+                    request, plain.cluster, 0.0
+                ) == other.scheduler.place(request, other.cluster, 0.0)
 
     def test_shard_models_learned_independently(self, federation):
         # Different profiling seeds -> different measurement noise -> the
@@ -201,3 +213,34 @@ class TestFederatedServing:
     def test_single_cluster_serve_has_no_federation_stats(self):
         report = LegatoSystem().serve(self._workload(), cluster_scale=1)
         assert report.federation_stats is None
+
+
+class TestElasticNodes:
+    def test_grown_node_is_owned_and_its_shard_removable(self, federation):
+        shard = federation.shards[0]
+        grown = federation.grow_node(shard.name, "xeon-d-x86")
+        assert federation.scheduler.shard_of_node(grown) == shard.name
+        # Fill every other node so HEATS must place onto the grown one.
+        for node in shard.cluster:
+            if node.name != grown:
+                node.reserve(f"fill-{node.name}", node.available.cores, 0.0)
+        request = _request("on-grown")
+        assert shard.scheduler.place(request, shard.cluster, 0.0) == grown
+        shard.cluster.node(grown).reserve(request.task_id, request.cores, request.memory_gib)
+        assert federation.scheduler.shard_of_node(grown) == shard.name
+        for node in shard.cluster:
+            for task_id in list(node.running):
+                node.release(task_id)
+        federation.begin_drain(shard.name)
+        assert federation.finalize_drain(shard.name) is shard
+        with pytest.raises(KeyError):
+            federation.scheduler.shard_of_node(grown)
+
+    def test_shrunk_node_is_deregistered(self, federation):
+        shard = federation.shards[1]
+        grown = federation.grow_node(shard.name, "arm64-server")
+        assert federation.shrink_node(shard.name, grown) == grown
+        with pytest.raises(KeyError):
+            federation.scheduler.shard_of_node(grown)
+        federation.begin_drain(shard.name)
+        assert federation.finalize_drain(shard.name) is shard

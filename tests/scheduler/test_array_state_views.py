@@ -92,9 +92,7 @@ class TestFeasibilityOracleInvalidation:
         from repro.federation.policy import ShardProfile
         from repro.federation.shard import ClusterShard
 
-        shard = ClusterShard.build(
-            0, ShardProfile("eu-north", 0.08), scale=1, use_score_cache=False
-        )
+        shard = ClusterShard.build(0, ShardProfile("eu-north", 0.08), scale=1)
         cluster = shard.cluster
         # Saturate every node so nothing can host a 1-core request.
         requests = []

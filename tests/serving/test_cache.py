@@ -1,11 +1,10 @@
-"""Prediction-score cache unit tests: LRU mechanics and scheduler hook."""
+"""Retired prediction-score cache: LRU mechanics, and that nothing uses it."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.hardware.microserver import WorkloadKind
-from repro.scheduler.cluster import Cluster
 from repro.scheduler.heats import HeatsScheduler
 from repro.scheduler.modeling import ProfilingCampaign
 from repro.scheduler.workload import TaskRequest
@@ -83,42 +82,30 @@ class TestKeying:
             PredictionScoreCache(gops_bucket_ratio=1.0)
 
 
-class TestSchedulerHook:
-    @pytest.fixture
-    def scored_pair(self, heterogeneous_cluster):
+class TestDetached:
+    """The cache is retired: importable, callable, attached to nothing."""
+
+    def test_traced_methods_stay_plain_methods(self):
+        # The serving benchmark's tracer wraps these class attributes by
+        # name; they must exist and be plain functions.
+        for attribute in ("key_for", "get", "put"):
+            assert callable(PredictionScoreCache.__dict__[attribute])
+
+    def test_scheduler_takes_no_cache(self, heterogeneous_cluster):
         models = ProfilingCampaign(heterogeneous_cluster, seed=3).run().fit()
-        cache = PredictionScoreCache()
-        cached = HeatsScheduler(models, score_cache=cache)
-        plain = HeatsScheduler(models)
-        return heterogeneous_cluster, cached, plain, cache
+        with pytest.raises(TypeError):
+            HeatsScheduler(models, score_cache=PredictionScoreCache())
 
-    def test_cached_ranking_matches_uncached(self, scored_pair):
-        cluster, cached, plain, cache = scored_pair
-        request = make_request()
-        candidates = cluster.feasible_nodes(request.cores, request.memory_gib)
-        expected = plain.score_candidates(request, candidates)
-        first = cached.score_candidates(request, candidates)
-        second = cached.score_candidates(request, candidates)
-        assert first == expected
-        assert second == expected
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
-
-    def test_place_uses_cache_across_requests(self, scored_pair):
-        cluster, cached, plain, cache = scored_pair
-        # Same shape, slightly different work: second placement is a hit.
-        first = make_request(task_id="t0", gops=100.0)
-        second = make_request(task_id="t1", gops=101.0)
-        assert cached.place(first, cluster, 0.0) == plain.place(first, cluster, 0.0)
-        assert cached.place(second, cluster, 0.0) == plain.place(second, cluster, 0.0)
-        assert cache.stats.hits >= 1
-
-    def test_cache_key_tracks_cluster_load(self, scored_pair):
-        cluster, cached, _, cache = scored_pair
-        request = make_request()
-        cached.place(request, cluster, 0.0)
-        misses = cache.stats.misses
-        # Occupy a node: the feasible set changes, so the key must change.
-        busy = cluster.nodes[0]
-        busy.reserve("occupier", busy.total.cores, 0.1)
-        cached.place(make_request(task_id="t1"), cluster, 1.0)
-        assert cache.stats.misses == misses + 1
+    def test_with_learned_models_cache_argument_warns_and_is_ignored(
+        self, heterogeneous_cluster
+    ):
+        plain = HeatsScheduler.with_learned_models(heterogeneous_cluster, seed=3)
+        with pytest.warns(DeprecationWarning, match="score_cache"):
+            shimmed = HeatsScheduler.with_learned_models(
+                heterogeneous_cluster, seed=3, score_cache=PredictionScoreCache()
+            )
+        for gops in (10.0, 100.0, 101.0, 1000.0):
+            request = make_request(task_id=f"t{gops}", gops=gops)
+            assert shimmed.place(request, heterogeneous_cluster, 0.0) == plain.place(
+                request, heterogeneous_cluster, 0.0
+            )
