@@ -29,10 +29,13 @@ event-driven path's own pinned wall-clock and is reported ungated (a
 ratio of wall-clocks from different machine states is a trend signal,
 not a gateable number).
 
-A *traced* run (enabled :class:`~repro.telemetry.trace.Tracer`) and a
-*profiled* run (enabled :class:`~repro.telemetry.profile.PhaseProfiler`)
-measure observability overhead on the 10k point; the profiler's phase
-breakdown must cover >= 90% of the measured wall-clock.  Peak structured
+Every timed repetition is followed by a *traced* one (enabled
+:class:`~repro.telemetry.trace.Tracer`); ``tracing_overhead`` is the
+median of the per-pair traced/untraced ratios, so host drift between
+pairs cancels.  A *profiled* run (enabled
+:class:`~repro.telemetry.profile.PhaseProfiler`) measures the profiler's
+overhead on the 10k point; its phase breakdown must cover >= 90% of the
+measured wall-clock.  Peak structured
 -array bytes (cluster capacity table + placement-engine task arrays) are
 reported per point as ungated memory metrics for ``benchmarks/trend.py``.
 Emitted to ``BENCH_core_speed.json``; the table renders to
@@ -149,7 +152,15 @@ def test_core_hot_path_speedup(bench, smoke):
     tenants = _tenants()
     requests = memory_bound_flash_crowd(tenants, count, duration_s)
 
-    runs = [timed_run(tenants, requests, scale) for _ in range(reps)]
+    # Untraced and traced repetitions alternate, so each traced run is
+    # compared with the untraced run just before it.
+    runs: List[Tuple[object, float]] = []
+    traced_runs: List[Tuple[object, float]] = []
+    for _ in range(reps):
+        runs.append(timed_run(tenants, requests, scale))
+        traced_runs.append(
+            timed_run(tenants, requests, scale, tracer=Tracer(enabled=True))
+        )
     report = runs[0][0]
     wall_s = min(seconds for _, seconds in runs)
     # Determinism gate: with the scan path deleted, equivalence is now
@@ -160,9 +171,13 @@ def test_core_hot_path_speedup(bench, smoke):
         assert _fingerprint(repeat) == reference
     assert report.dropped == 0 and report.rejected == 0
 
-    traced_report, traced_s = timed_run(
-        tenants, requests, scale, tracer=Tracer(enabled=True)
-    )
+    traced_report = traced_runs[0][0]
+    for repeat, _ in traced_runs[1:]:
+        assert _fingerprint(repeat) == _fingerprint(traced_report)
+    tracing_overhead = float(np.median([
+        traced_s / untraced_s
+        for (_, untraced_s), (_, traced_s) in zip(runs, traced_runs)
+    ]))
     profiler = PhaseProfiler(enabled=True)
     profiled_report, profiled_s = timed_run(
         tenants, requests, scale, profiler=profiler
@@ -184,7 +199,6 @@ def test_core_hot_path_speedup(bench, smoke):
 
     speedup = PR8_SCAN_PATH_WALL_S / wall_s if wall_s > 0 else float("inf")
     vs_event_path = PR8_EVENT_PATH_WALL_S / wall_s if wall_s > 0 else float("inf")
-    tracing_overhead = traced_s / wall_s if wall_s > 0 else float("inf")
     profiling_overhead = profiled_s / wall_s if wall_s > 0 else float("inf")
     run = bench("core_speed")
     # Wall-clock ratios carry loose tolerances (shared-runner noise);
@@ -193,7 +207,7 @@ def test_core_hot_path_speedup(bench, smoke):
     run.metric("speedup_vs_pr8_event_path", vs_event_path, direction="higher",
                gate=False)
     run.metric("tracing_overhead", tracing_overhead, direction="lower",
-               tolerance=0.50, abs_tolerance=0.50)
+               tolerance=0.20)
     run.metric("profiling_overhead", profiling_overhead, direction="lower",
                tolerance=0.50, abs_tolerance=0.50)
     run.metric("profile_coverage", profile_coverage, direction="higher",

@@ -275,12 +275,13 @@ class Deployment:
             )
             # When the run was traced, bucket span *end* instants into the
             # same windows so each tick carries its per-stage activity.
-            traced = report.trace_spans is not None
+            spans = report.trace_spans
+            traced = spans is not None
             stage_events: List[Tuple[float, str]] = (
                 sorted(
-                    (span.end_s, span.name)
-                    for span in report.trace_spans
-                    if span.end_s is not None
+                    (end_s, name)
+                    for end_s, name in zip(spans.ends, spans.names)
+                    if end_s is not None
                 )
                 if traced
                 else []

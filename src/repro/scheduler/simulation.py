@@ -37,7 +37,7 @@ from repro.scheduler.monitoring import ClusterMonitor
 from repro.scheduler.placement import MigrationEvent, Placement, PlacementEngine
 from repro.scheduler.workload import TaskRequest
 from repro.telemetry.profile import NULL_PHASE, PhaseProfiler
-from repro.telemetry.trace import Span, Tracer
+from repro.telemetry.trace import Tracer
 
 
 class SchedulerProtocol(Protocol):
@@ -327,9 +327,10 @@ class ClusterSimulator:
         #: federated schedulers expose ``shard_of_node``; a single-cluster
         #: policy has no shard notion, so spans are annotated with None.
         self._shard_lookup = getattr(scheduler, "shard_of_node", None)
-        self._t_root: Dict[str, "Span"] = {}
-        self._t_pending: Dict[str, "Span"] = {}
-        self._t_exec: Dict[str, "Span"] = {}
+        #: open span rows per task id (see :meth:`SpanTable.open`).
+        self._t_root: Dict[str, int] = {}
+        self._t_pending: Dict[str, int] = {}
+        self._t_exec: Dict[str, int] = {}
         self._t_requeues: Dict[str, int] = {}
         self.monitor = monitor if monitor is not None else ClusterMonitor(cluster)
         self.monitoring_period_s = monitoring_period_s
@@ -397,88 +398,107 @@ class ClusterSimulator:
 
     def _trace_arrival(self, request: TaskRequest) -> None:
         """Open the task root + pending spans at the arrival instant."""
-        root = self.tracer.start_span(
-            "task", request.arrival_s, request.task_id, tenant=request.tenant
+        spans = self.tracer.table
+        task_id = request.task_id
+        root = spans.open(
+            "task", request.arrival_s, task_id, None, {"tenant": request.tenant}
         )
-        self._t_root[request.task_id] = root
-        self._t_pending[request.task_id] = self.tracer.start_span(
-            "task.pending", request.arrival_s, request.task_id, parent=root
+        self._t_root[task_id] = root
+        self._t_pending[task_id] = spans.open(
+            "task.pending", request.arrival_s, task_id, root
         )
 
     def _trace_unplaced(self, task_id: str, time_s: float, reason: str) -> None:
         """Terminate a task trace that never reached a node."""
+        spans = self.tracer.table
         pend = self._t_pending.pop(task_id, None)
         if pend is not None:
-            pend.end(max(time_s, pend.start_s), requeues=self._t_requeues.get(task_id, 0))
+            spans.close(
+                pend,
+                max(time_s, spans.starts[pend]),
+                {"requeues": self._t_requeues.get(task_id, 0)},
+            )
         root = self._t_root.pop(task_id, None)
         if root is not None:
-            root.annotate("terminal", True)
-            root.end(max(time_s, root.start_s), verdict="unplaced", reason=reason)
+            spans.close(
+                root,
+                max(time_s, spans.starts[root]),
+                {"terminal": True, "verdict": "unplaced", "reason": reason},
+            )
 
     def _trace_placement(self, task_id: str, node_name: str, time_s: float) -> None:
         """Close the pending span and open the first execute segment."""
+        spans = self.tracer.table
         shard = self._trace_shard(node_name)
         pend = self._t_pending.pop(task_id, None)
         if pend is not None:
-            pend.end(
+            spans.close(
+                pend,
                 time_s,
-                node=node_name,
-                shard=shard,
-                requeues=self._t_requeues.get(task_id, 0),
+                {
+                    "node": node_name,
+                    "shard": shard,
+                    "requeues": self._t_requeues.get(task_id, 0),
+                },
             )
-        self._t_exec[task_id] = self.tracer.start_span(
+        self._t_exec[task_id] = spans.open(
             "task.execute",
             time_s,
             task_id,
-            parent=self._t_root.get(task_id),
-            node=node_name,
-            shard=shard,
+            self._t_root.get(task_id),
+            {"node": node_name, "shard": shard},
         )
 
     def _trace_migration(
         self, task_id: str, source: str, target: str, time_s: float, downtime_s: float
     ) -> None:
         """Close the old segment, record downtime, open the new segment."""
+        spans = self.tracer.table
         segment = self._t_exec.pop(task_id, None)
         if segment is not None:
-            segment.end(time_s)
+            spans.close(segment, time_s)
         root = self._t_root.get(task_id)
         source_shard = self._trace_shard(source)
         target_shard = self._trace_shard(target)
-        migrate = self.tracer.start_span(
+        migrate = spans.open(
             "task.migrate",
             time_s,
             task_id,
-            parent=root,
-            source=source,
-            target=target,
-            source_shard=source_shard,
-            target_shard=target_shard,
-            cross_shard=(
-                source_shard != target_shard
-                if source_shard is not None and target_shard is not None
-                else False
-            ),
+            root,
+            {
+                "source": source,
+                "target": target,
+                "source_shard": source_shard,
+                "target_shard": target_shard,
+                "cross_shard": (
+                    source_shard != target_shard
+                    if source_shard is not None and target_shard is not None
+                    else False
+                ),
+            },
         )
-        migrate.end(time_s + downtime_s)
-        self._t_exec[task_id] = self.tracer.start_span(
+        spans.close(migrate, time_s + downtime_s)
+        self._t_exec[task_id] = spans.open(
             "task.execute",
             time_s + downtime_s,
             task_id,
-            parent=root,
-            node=target,
-            shard=target_shard,
+            root,
+            {"node": target, "shard": target_shard},
         )
 
     def _trace_completion(self, task_id: str, time_s: float, migrations: int) -> None:
         """Terminate a task trace at its completion instant."""
+        spans = self.tracer.table
         segment = self._t_exec.pop(task_id, None)
         if segment is not None:
-            segment.end(time_s)
+            spans.close(segment, time_s)
         root = self._t_root.pop(task_id, None)
         if root is not None:
-            root.annotate("terminal", True)
-            root.end(time_s, verdict="completed", migrations=migrations)
+            spans.close(
+                root,
+                time_s,
+                {"terminal": True, "verdict": "completed", "migrations": migrations},
+            )
 
     # ------------------------------------------------------------------ #
     # Main loop

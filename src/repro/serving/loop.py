@@ -28,7 +28,7 @@ from repro.serving.cache import CacheStats
 from repro.serving.gateway import AdmissionDecision, RequestGateway, ServingRequest, Tenant
 from repro.serving.sla import SlaTracker, TenantSlaReport, percentiles
 from repro.telemetry.profile import NULL_PHASE, PhaseProfiler
-from repro.telemetry.trace import Span, Tracer, TraceSummary, summarize_trace
+from repro.telemetry.trace import SpanTable, Tracer, TraceSummary, summarize_trace
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,10 @@ class ServingReport:
     #: :class:`~repro.autoscale.controller.AutoscaleReport`), else None.
     autoscale_report: Optional[object] = None
     #: request-scoped spans drained from the deployment's tracer after the
-    #: run; None when tracing was disabled (the pay-nothing default).
-    trace_spans: Optional[List[Span]] = None
+    #: run, as a columnar :class:`~repro.telemetry.trace.SpanTable` (its
+    #: ``len``/iteration/indexing hand out ``Span`` views on demand); None
+    #: when tracing was disabled (the pay-nothing default).
+    trace_spans: Optional[SpanTable] = None
     #: memoised (p50, p95, p99) over ``latencies_s`` -- the three
     #: percentile properties and ``summary()`` share one vectorised
     #: numpy pass instead of re-sorting the sample per read.
@@ -249,10 +251,11 @@ class ServingLoop:
         self.profiler = profiler
         #: same cached-boolean discipline for the host-time profiler.
         self._profile = profiler is not None and profiler.enabled
-        # Open spans keyed by request id, closed as requests cross seams.
-        self._request_roots: Dict[str, Span] = {}
-        self._gateway_spans: Dict[str, Span] = {}
-        self._batch_wait_spans: Dict[str, Span] = {}
+        # Open span rows keyed by request id, closed as requests cross
+        # seams.  A request's gateway span is opened right after its root,
+        # so its row is the root's row + 1 and needs no entry of its own.
+        self._request_roots: Dict[str, int] = {}
+        self._batch_wait_spans: Dict[str, int] = {}
         self._consumed = False
 
     # ------------------------------------------------------------------ #
@@ -346,17 +349,18 @@ class ServingLoop:
     # ------------------------------------------------------------------ #
     def _trace_admission(self, request: ServingRequest, decision: AdmissionDecision) -> None:
         """Open the request root span; rejections terminate immediately."""
-        root = self.tracer.start_span(
-            "request", request.arrival_s, request.request_id, tenant=request.tenant
+        spans = self.tracer.table
+        request_id = request.request_id
+        root = spans.open(
+            "request", request.arrival_s, request_id, None, {"tenant": request.tenant}
         )
         if decision.admitted:
-            self._request_roots[request.request_id] = root
-            self._gateway_spans[request.request_id] = self.tracer.start_span(
-                "request.gateway", request.arrival_s, request.request_id, parent=root
-            )
+            self._request_roots[request_id] = root
+            spans.open("request.gateway", request.arrival_s, request_id, root)
         else:
-            root.annotate("terminal", True)
-            root.end(request.arrival_s, verdict=decision.value)
+            spans.close(
+                root, request.arrival_s, {"terminal": True, "verdict": decision.value}
+            )
 
     def _admit_to_batcher(self, admitted: ServingRequest, now: float) -> List[Batch]:
         """Hand one drained admission to the batcher, crossing the trace seam.
@@ -369,24 +373,26 @@ class ServingLoop:
             Batches the add caused to flush (the batcher's return value).
         """
         if self._trace:
-            gate = self._gateway_spans.pop(admitted.request_id, None)
-            if gate is not None:
-                gate.end(now)
-            self._batch_wait_spans[admitted.request_id] = self.tracer.start_span(
-                "request.batch_wait",
-                now,
-                admitted.request_id,
-                parent=self._request_roots.get(admitted.request_id),
+            spans = self.tracer.table
+            request_id = admitted.request_id
+            root = self._request_roots.get(request_id)
+            if root is not None:
+                spans.close(root + 1, now)  # the request.gateway row
+            self._batch_wait_spans[request_id] = spans.open(
+                "request.batch_wait", now, request_id, root
             )
         return self.batcher.add(admitted, now)
 
     def _trace_flushes(self, batches: Sequence[Batch]) -> None:
         """Close every member's batch-wait span at its batch's flush instant."""
+        close = self.tracer.table.close
+        pop = self._batch_wait_spans.pop
         for batch in batches:
+            flushed_s = batch.flushed_s
             for member in batch.requests:
-                span = self._batch_wait_spans.pop(member.request_id, None)
-                if span is not None:
-                    span.end(batch.flushed_s, batch_id=batch.batch_id)
+                row = pop(member.request_id, None)
+                if row is not None:
+                    close(row, flushed_s, {"batch_id": batch.batch_id})
 
     def _to_task_requests(self, batches: Sequence[Batch]) -> List[TaskRequest]:
         tasks: List[TaskRequest] = []
@@ -452,6 +458,8 @@ class ServingLoop:
         completed_requests = 0
         record_completion = self.tracker.record_completion
         trace = self._trace
+        spans = self.tracer.table if trace else None
+        pop_root = self._request_roots.pop
         for task in simulation.completed:
             batch = by_task_id[task.task_id]
             finish_s = task.finish_s
@@ -469,14 +477,17 @@ class ServingLoop:
                     member.tenant, latency, energy_per_member, deadline_met
                 )
                 if trace:
-                    root = self._request_roots.pop(member.request_id, None)
+                    root = pop_root(member.request_id, None)
                     if root is not None:
-                        root.annotate("terminal", True)
-                        root.end(
-                            task.finish_s,
-                            verdict="completed",
-                            task_id=task.task_id,
-                            deadline_met=deadline_met,
+                        spans.close(
+                            root,
+                            finish_s,
+                            {
+                                "terminal": True,
+                                "verdict": "completed",
+                                "task_id": task.task_id,
+                                "deadline_met": deadline_met,
+                            },
                         )
                 latencies.append(latency)
                 completions.append(finish_s)
@@ -486,15 +497,14 @@ class ServingLoop:
             batch = by_task_id[task_id]
             self.tracker.record_dropped(batch.requests[0].tenant, batch.size)
             dropped += batch.size
-            if self._trace:
+            if trace:
                 for member in batch.requests:
-                    root = self._request_roots.pop(member.request_id, None)
+                    root = pop_root(member.request_id, None)
                     if root is not None:
-                        root.annotate("terminal", True)
-                        root.end(
-                            max(horizon, root.start_s),
-                            verdict="dropped",
-                            task_id=task_id,
+                        spans.close(
+                            root,
+                            max(horizon, spans.starts[root]),
+                            {"terminal": True, "verdict": "dropped", "task_id": task_id},
                         )
         # Totals come from the tracker (which saw every offer, including
         # unknown-tenant rejections the gateway keeps no stats for), so the

@@ -16,8 +16,9 @@ recording side down:
   for benchmark result files, JSON Lines feeds for dashboards, in-memory
   history for tests/controllers.
 * :mod:`repro.telemetry.trace`    -- request-scoped spans on the simulated
-  clock: per-deployment :class:`Tracer` with a no-op mode, stage
-  summaries with critical-path attribution via :func:`summarize_trace`.
+  clock: per-deployment :class:`Tracer` with a no-op mode recording
+  into a columnar :class:`SpanTable`, stage summaries with
+  critical-path attribution via :func:`summarize_trace`.
 * :mod:`repro.telemetry.profile`  -- the host-time :class:`PhaseProfiler`:
   wall-clock phase breakdowns of the serving/scheduling hot path itself.
 * :mod:`repro.telemetry.console`  -- the live deployment console: per-shard
@@ -41,6 +42,7 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.trace import (
     Span,
+    SpanTable,
     StageStats,
     Tracer,
     TraceSummary,
@@ -72,6 +74,7 @@ __all__ = [
     "RingBuffer",
     "ShardTile",
     "Span",
+    "SpanTable",
     "StageStats",
     "TextExporter",
     "Tracer",
