@@ -1,8 +1,6 @@
 """Declarative deployment API: spec in, reusable serving session out.
 
-This package replaces the kwarg-explosion facade (`serve(workload,
-cluster_scale=, batch_policy=, heats_config=, seed=, num_shards=,
-autoscale=, autoscale_config=)`) with the shape production
+This package is the one serving entry point, in the shape production
 schedulers are actually driven by:
 
 * :mod:`repro.api.spec`       -- :class:`DeploymentSpec`, a frozen,
@@ -11,8 +9,7 @@ schedulers are actually driven by:
   all-errors-at-once validation.
 * :mod:`repro.api.backend`    -- the :class:`Backend` protocol and its
   three implementations (single cluster, federated, autoscaled), so the
-  serve paths previously forked inside ``LegatoSystem.serve()`` are one
-  polymorphic build step.
+  three serve paths are one polymorphic build step.
 * :mod:`repro.api.deployment` -- :class:`Deployment`: build the backend
   once, then serve many workloads against warm state (profiled models,
   affinity pins, telemetry, elastic topology), with a

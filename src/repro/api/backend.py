@@ -1,11 +1,9 @@
 """Backend protocol: one polymorphic build step for the three serve paths.
 
-``LegatoSystem.serve()`` used to fork three ways inside one method body --
-single cluster, federation, autoscaled federation -- re-deciding the
-shape on every call and rebuilding every layer from scratch.  Here the
-decision is made *once*, from the validated spec, into a
-:class:`Backend`: an object that owns the warm state (profiled
-prediction models, tenant affinity, telemetry registry,
+A deployment serves on one of three shapes -- single cluster,
+federation, autoscaled federation.  The choice is made *once*, from the
+validated spec, into a :class:`Backend`: an object that owns the warm
+state (profiled prediction models, tenant affinity, telemetry registry,
 elastically grown topology) and serves any number of workloads against
 it.  :class:`~repro.api.deployment.Deployment` holds exactly one backend
 for its whole lifetime.
@@ -13,7 +11,6 @@ for its whole lifetime.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, runtime_checkable
 
 from repro.api.spec import DeploymentSpec
@@ -166,7 +163,6 @@ class FederatedBackend:
         self,
         spec: DeploymentSpec,
         metrics: Optional["MetricsRegistry"] = None,
-        federation_config: Optional[FederationConfig] = None,
         tracer: Optional["Tracer"] = None,
         profiler: Optional["PhaseProfiler"] = None,
     ) -> None:
@@ -178,9 +174,6 @@ class FederatedBackend:
                 autoscaling).
             metrics: optional telemetry bus shared by the routing,
                 admission, and batching hot paths.
-            federation_config: routing/migration tunables; None derives
-                one from the spec (the scheduler section's rescheduling
-                interval becomes the federation heartbeat).
             tracer: optional request-scoped tracer threaded into every
                 serving run (None or disabled costs nothing).
             profiler: optional host-time phase profiler; the router's
@@ -191,15 +184,13 @@ class FederatedBackend:
         self.metrics = metrics
         self.tracer = tracer
         self.profiler = profiler
-        if federation_config is None:
-            federation_config = FederationConfig(
-                rescheduling_interval_s=spec.scheduler.rescheduling_interval_s
-            )
         self.federation = Federation.build(
             num_shards=spec.topology.shards,
             shard_scale=spec.topology.scale_per_shard,
             heats_config=spec.scheduler.to_heats_config(),
-            federation_config=federation_config,
+            federation_config=FederationConfig(
+                rescheduling_interval_s=self._heartbeat_s(spec)
+            ),
             metrics=metrics,
             seed_policy=spec.topology.seed,
         )
@@ -207,6 +198,11 @@ class FederatedBackend:
             # The router records its routing phase directly; attached the
             # same way the autoscaler attaches itself to the scheduler.
             self.federation.scheduler.attach_profiler(profiler)
+
+    @staticmethod
+    def _heartbeat_s(spec: DeploymentSpec) -> float:
+        """The federation's rescheduling heartbeat: the scheduler cadence."""
+        return spec.scheduler.rescheduling_interval_s
 
     def serve(
         self, workload: ServingWorkload, batch_policy: Optional["BatchPolicy"] = None
@@ -272,7 +268,6 @@ class AutoscaledBackend(FederatedBackend):
         self,
         spec: DeploymentSpec,
         metrics: "MetricsRegistry",
-        federation_config: Optional[FederationConfig] = None,
         tracer: Optional["Tracer"] = None,
         profiler: Optional["PhaseProfiler"] = None,
     ) -> None:
@@ -283,8 +278,6 @@ class AutoscaledBackend(FederatedBackend):
                 ``autoscale.enabled == True``.
             metrics: the telemetry bus (mandatory: every signal the
                 controller acts on flows through it).
-            federation_config: routing/migration tunables; the control
-                interval overrides its rescheduling heartbeat either way.
             tracer: optional request-scoped tracer threaded into every
                 serving run and the controller's actuation events.
             profiler: optional host-time phase profiler; control steps
@@ -293,18 +286,7 @@ class AutoscaledBackend(FederatedBackend):
         from repro.autoscale.controller import Autoscaler
 
         self._autoscale_config = spec.autoscale.to_config()
-        base = (
-            federation_config if federation_config is not None else FederationConfig()
-        )
-        super().__init__(
-            spec,
-            metrics=metrics,
-            federation_config=replace(
-                base, rescheduling_interval_s=self._autoscale_config.control_interval_s
-            ),
-            tracer=tracer,
-            profiler=profiler,
-        )
+        super().__init__(spec, metrics=metrics, tracer=tracer, profiler=profiler)
         self.autoscaler: "Autoscaler" = Autoscaler(
             self.federation,
             config=self._autoscale_config,
@@ -312,6 +294,11 @@ class AutoscaledBackend(FederatedBackend):
             profiler=profiler,
         )
         self._runs = 0
+
+    @staticmethod
+    def _heartbeat_s(spec: DeploymentSpec) -> float:
+        """Control and migration share one heartbeat: the control interval."""
+        return spec.autoscale.control_interval_s
 
     def serve(
         self, workload: ServingWorkload, batch_policy: Optional["BatchPolicy"] = None

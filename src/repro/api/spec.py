@@ -1,10 +1,8 @@
 """The declarative deployment spec: one validated tree, whole stack.
 
-Three PRs of growth piled nine interacting keyword arguments onto
-``LegatoSystem.serve()`` and near-duplicate parameter sets onto
-``federate()`` / ``autoscaler()``.  :class:`DeploymentSpec` replaces that
-kwarg explosion with what production schedulers are actually driven by: a
-frozen, serialisable tree of sections --
+:class:`DeploymentSpec` is what ``LegatoSystem.deploy`` serves from, and
+what production schedulers are actually driven by: a frozen, serialisable
+tree of sections --
 
 * :class:`TopologySpec`  -- shard count, cluster scale, seed policy;
 * :class:`SchedulerSpec` -- HEATS tunables;
@@ -27,7 +25,6 @@ rely on at construction time.)
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Any, Dict, List, Mapping, Optional, Tuple, get_type_hints
 
@@ -35,7 +32,7 @@ from repro.api.serialization import dumps_json, dumps_toml, loads_json, loads_to
 from repro.autoscale.policy import AutoscaleConfig
 from repro.core.seeding import SeedPolicy
 from repro.hardware.microserver import MICROSERVER_CATALOG
-from repro.scheduler.heats import HeatsConfig, warn_score_cache_ignored
+from repro.scheduler.heats import HeatsConfig
 from repro.serving.batching import BatchPolicy
 
 
@@ -58,8 +55,7 @@ class SpecIssue:
 class SpecValidationError(ValueError):
     """A spec failed validation; carries *every* issue, path-tagged.
 
-    Subclasses :class:`ValueError` so call sites that guarded the old
-    kwarg facade with ``except ValueError`` keep working unchanged.
+    Subclasses :class:`ValueError`, so ``except ValueError`` catches it.
     """
 
     def __init__(self, issues: List[SpecIssue]) -> None:
@@ -142,10 +138,6 @@ class SchedulerSpec:
             node must beat the current host by before a migration.
         default_energy_weight: energy/performance blend used when a
             request carries no tenant weight.
-        score_cache: **deprecated, ignored** (scoring is always exact);
-            kept so old specs load and round-trip losslessly.  A
-            non-default value warns and changes nothing.
-        score_cache_capacity: **deprecated, ignored**, like ``score_cache``.
         profiling_noise_fraction: measurement noise of the profiling
             campaigns the prediction models are learned from.
     """
@@ -153,14 +145,7 @@ class SchedulerSpec:
     rescheduling_interval_s: float = 60.0
     migration_improvement_threshold: float = 0.15
     default_energy_weight: float = 0.5
-    score_cache: bool = True
-    score_cache_capacity: int = 4096
     profiling_noise_fraction: float = 0.05
-
-    def __post_init__(self) -> None:
-        # Deprecation shim, handled like ServingSpec.fast_path.
-        if self.score_cache is not True or self.score_cache_capacity != 4096:
-            warn_score_cache_ignored("SchedulerSpec.score_cache(_capacity)")
 
     def validate(self, path: str = "scheduler") -> List[SpecIssue]:
         """Collect every problem with this section.
@@ -208,16 +193,12 @@ class SchedulerSpec:
     def from_heats_config(
         cls,
         config: Optional[HeatsConfig],
-        score_cache: bool = True,
-        score_cache_capacity: int = 4096,
         profiling_noise_fraction: float = 0.05,
     ) -> "SchedulerSpec":
-        """Translate the old kwarg shape into a spec section.
+        """Build the section from a node-level scheduler config.
 
         Args:
-            config: a legacy ``HeatsConfig`` (None means defaults).
-            score_cache: deprecated and ignored (see the class).
-            score_cache_capacity: deprecated and ignored.
+            config: a ``HeatsConfig`` (None means defaults).
             profiling_noise_fraction: profiling measurement noise.
 
         Returns:
@@ -228,8 +209,6 @@ class SchedulerSpec:
             rescheduling_interval_s=config.rescheduling_interval_s,
             migration_improvement_threshold=config.migration_improvement_threshold,
             default_energy_weight=config.default_energy_weight,
-            score_cache=score_cache,
-            score_cache_capacity=score_cache_capacity,
             profiling_noise_fraction=profiling_noise_fraction,
         )
 
@@ -251,13 +230,6 @@ class ServingSpec:
             deadline slack before a deadline-driven flush.
         flush_tick_s: cadence at which the gateway drains into the
             batcher and stale batches flush.
-        fast_path: **deprecated, ignored.**  The legacy ``fast_path=False``
-            scan paths were removed when the simulator core went
-            array-native; every run now uses the (outcome-identical)
-            event-driven ingest and vectorised capacity-gated retry.  The
-            field is kept so old specs still load and round-trip through
-            JSON/TOML losslessly; setting it to ``False`` emits a
-            :class:`DeprecationWarning` and changes nothing.
     """
 
     max_batch_size: int = 16
@@ -265,21 +237,6 @@ class ServingSpec:
     memory_bucket_gib: float = 0.5
     deadline_margin_s: float = 0.5
     flush_tick_s: float = 0.5
-    fast_path: bool = True
-
-    def __post_init__(self) -> None:
-        # Deprecation shim, not validation (see the module docstring for
-        # why sections don't raise here): old specs carrying the retired
-        # flag must keep loading, and a lossless round-trip must preserve
-        # whatever they said -- but flipping it no longer selects a path.
-        if self.fast_path is not True:
-            warnings.warn(
-                "ServingSpec.fast_path is deprecated and ignored: the "
-                "legacy scan path was removed; every run uses the "
-                "array-native event-driven core",
-                DeprecationWarning,
-                stacklevel=2,
-            )
 
     def validate(self, path: str = "serving") -> List[SpecIssue]:
         """Collect every problem with this section.
@@ -322,10 +279,10 @@ class ServingSpec:
     def from_batch_policy(
         cls, policy: Optional[BatchPolicy], flush_tick_s: float = 0.5
     ) -> "ServingSpec":
-        """Translate the old kwarg shape into a spec section.
+        """Build the section from a batcher policy.
 
         Args:
-            policy: a legacy ``BatchPolicy`` (None means defaults).
+            policy: a ``BatchPolicy`` (None means defaults).
             flush_tick_s: the serving loop's flush cadence.
 
         Returns:
@@ -499,10 +456,10 @@ class AutoscaleSpec:
     def from_config(
         cls, config: Optional[AutoscaleConfig], enabled: bool = True
     ) -> "AutoscaleSpec":
-        """Translate the old kwarg shape into a spec section.
+        """Build the section from a control-loop config.
 
         Args:
-            config: a legacy ``AutoscaleConfig`` (None means defaults).
+            config: an ``AutoscaleConfig`` (None means defaults).
             enabled: whether the control loop should attach.
 
         Returns:

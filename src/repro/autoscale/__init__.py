@@ -1,8 +1,8 @@
 """Elastic shard/node autoscaling over the federated serving stack.
 
-PR 2's federation scaled statically: shard and node counts were fixed at
-``federate()`` time, so a traffic spike saturated shards while a lull
-burned idle node energy.  This package closes the loop the telemetry bus
+A plain federation scales statically: shard and node counts are fixed
+when it is built, so a traffic spike saturates shards while a lull
+burns idle node energy.  This package closes the loop the telemetry bus
 opens: a control loop subscribes to per-shard saturation, thermal
 headroom, queueing delay, and SLA-violation signals, forecasts near-term
 per-tenant demand, and actuates elastic capacity.
@@ -16,8 +16,8 @@ per-tenant demand, and actuates elastic capacity.
 * :mod:`repro.autoscale.controller` -- the :class:`Autoscaler` control
   loop and its :class:`AutoscaleReport`.
 
-``LegatoSystem.serve(workload, autoscale=True)`` and
-``LegatoSystem.autoscaler()`` are the facade entry points.
+A spec with ``autoscale.enabled`` served through
+``LegatoSystem.deploy(spec)`` attaches the control loop.
 """
 
 from repro.autoscale.forecast import EwmaForecaster, HoltWintersForecaster

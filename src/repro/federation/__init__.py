@@ -1,7 +1,7 @@
 """Federated multi-cluster scheduling: many HEATS shards, one scheduler.
 
-PR 1's serving front-end still landed every request on a single cluster;
-this package adds the layer above it the ROADMAP north star asks for:
+The serving front-end alone lands every request on a single cluster;
+this package adds the layer above it:
 
 * :mod:`repro.federation.policy`     -- shard profiles (regional energy
   price), federation tunables, and the cheap aggregate shard score.
@@ -10,7 +10,8 @@ this package adds the layer above it the ROADMAP north star asks for:
 * :mod:`repro.federation.federation` -- :class:`FederatedScheduler`
   (two-level placement, tenant affinity, cross-shard migration),
   :class:`FederatedCluster` (the union view the simulator drives), and
-  the :class:`Federation` facade built by ``LegatoSystem.federate()``.
+  the :class:`Federation` facade a deployment with ``topology.shards > 1``
+  builds (``LegatoSystem.deploy(spec)``).
 """
 
 from repro.federation.policy import (

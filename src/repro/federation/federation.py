@@ -38,7 +38,7 @@ from repro.federation.policy import (
 )
 from repro.federation.shard import ClusterShard
 from repro.scheduler.cluster import Cluster
-from repro.scheduler.heats import HeatsConfig, warn_score_cache_ignored
+from repro.scheduler.heats import HeatsConfig
 from repro.scheduler.placement import Placement
 from repro.scheduler.workload import TaskRequest
 
@@ -750,8 +750,9 @@ class FederatedScheduler:
 class Federation:
     """A built federation: shards, union cluster, scheduler, serving entry.
 
-    Like a :class:`~repro.serving.loop.ServingLoop`, a federation carries
-    mutable cluster state; build a fresh one per serving run.
+    The federation keeps its warm state (profiled models, affinity pins,
+    grown topology) between runs; :meth:`run_workload` serves one
+    workload at a time against it.
     """
 
     def __init__(
@@ -766,12 +767,11 @@ class Federation:
             shards: member shards with federation-unique node names.
             config: federation tunables; defaults to ``FederationConfig()``.
             metrics: optional telemetry bus shared by the router (and, via
-                :meth:`serve`, the gateway and batcher hot paths).
+                :meth:`run_workload`, the gateway and batcher hot paths).
         """
         self.metrics = metrics
         self.scheduler = FederatedScheduler(shards, config=config, metrics=metrics)
         self.cluster = FederatedCluster(self.scheduler.shards)
-        self._served = False
         # Build parameters for shards added later by the autoscaler; the
         # defaults match ClusterShard.build and are overridden by build().
         self.seed_policy = SeedPolicy()
@@ -779,11 +779,6 @@ class Federation:
         self.default_heats_config: Optional[HeatsConfig] = None
         self.profile_catalogue: Tuple[ShardProfile, ...] = DEFAULT_SHARD_PROFILES
         self.next_shard_index = len(self.scheduler.shards)
-
-    @property
-    def base_seed(self) -> int:
-        """The seed policy's base (kept for pre-SeedPolicy callers)."""
-        return self.seed_policy.base
 
     @property
     def shards(self) -> List[ClusterShard]:
@@ -797,7 +792,6 @@ class Federation:
         shard_scale: int = 1,
         heats_config: Optional[HeatsConfig] = None,
         federation_config: Optional[FederationConfig] = None,
-        use_score_cache: Optional[bool] = None,
         seed: int = 7,
         profiles: Optional[Sequence[ShardProfile]] = None,
         metrics: Optional["MetricsRegistry"] = None,
@@ -816,7 +810,6 @@ class Federation:
                 each).
             heats_config: node-level scheduler tunables, copied per shard.
             federation_config: shard-selection / migration tunables.
-            use_score_cache: deprecated and ignored (warns if set).
             seed: federation-level base seed; ignored when ``seed_policy``
                 is given, otherwise wrapped as ``SeedPolicy(base=seed)``.
             profiles: regional profiles; defaults to cycling
@@ -831,8 +824,6 @@ class Federation:
             raise ValueError("a federation needs at least one shard")
         if shard_scale <= 0:
             raise ValueError("shard scale must be positive")
-        if use_score_cache is not None:
-            warn_score_cache_ignored("Federation.build(use_score_cache=)")
         policy = seed_policy if seed_policy is not None else SeedPolicy(base=seed)
         catalogue = tuple(profiles) if profiles else DEFAULT_SHARD_PROFILES
         profile_cycle = itertools.cycle(catalogue)
@@ -1008,42 +999,6 @@ class Federation:
         """
         return score_shards(self.shards, energy_weight, self.scheduler.config)
 
-    def serve(self, workload, batch_policy=None):
-        """Serve a multi-tenant workload through the federation (one-shot).
-
-        Builds the gateway over the workload's tenants (registering their
-        preferred regions as affinity seeds) and runs the serving loop
-        with the federated cluster and scheduler as the backend.  When the
-        federation carries a telemetry bus, the gateway and batcher hot
-        paths record into it, and when an autoscaler is attached to the
-        scheduler the report additionally carries its
-        :class:`~repro.autoscale.controller.AutoscaleReport`.
-
-        This is the one-shot entry: it refuses a second call because the
-        shard cluster state carries the previous run.  Deployment
-        sessions (:class:`repro.api.Deployment`) use
-        :meth:`run_workload`, which verifies the cluster drained back to
-        idle and serves again against the warm state.
-
-        Args:
-            workload: a :class:`~repro.serving.loop.ServingWorkload`.
-            batch_policy: optional
-                :class:`~repro.serving.batching.BatchPolicy` override.
-
-        Returns:
-            The :class:`~repro.serving.loop.ServingReport`, with
-            ``federation_stats`` populated.
-        """
-        if self._served:
-            raise RuntimeError(
-                "a Federation can only serve once; shard cluster state "
-                "carries the previous run -- build a fresh federation, or "
-                "serve through a Deployment session (repro.api) to reuse "
-                "warm state"
-            )
-        self._served = True
-        return self._run_serving(workload, batch_policy, 0.5, None, None)
-
     def run_workload(
         self,
         workload,
@@ -1053,6 +1008,11 @@ class Federation:
         profiler=None,
     ):
         """Serve a workload against warm state (repeatable session entry).
+
+        Builds the gateway over the workload's tenants (registering their
+        preferred regions as affinity seeds) and runs the serving loop with
+        the federated cluster and scheduler as the backend; an attached
+        autoscaler adds its report to the result.
 
         The profiled prediction models, tenant affinity pins, and any
         elastically grown topology all stay warm between calls -- only
@@ -1082,32 +1042,18 @@ class Federation:
             The :class:`~repro.serving.loop.ServingReport`, with
             ``federation_stats`` holding *this run's* routing telemetry.
         """
+        from repro.serving.gateway import RequestGateway
+        from repro.serving.loop import ServingLoop
+
         capacity = self.cluster.capacity()
         if capacity.free_cores != capacity.total_cores:
             raise RuntimeError(
                 "the federation still hosts running tasks from a previous "
                 "run; serve runs back-to-back, not interleaved"
             )
-        self._served = True
         # Routing telemetry is per-run in a session: the warm models and
         # pins carry over, the counters must not.
         self.scheduler.federation_stats = FederationStats()
-        return self._run_serving(
-            workload, batch_policy, flush_tick_s, tracer, profiler
-        )
-
-    def _run_serving(
-        self,
-        workload,
-        batch_policy,
-        flush_tick_s: float,
-        tracer,
-        profiler,
-    ):
-        """Shared serving body for :meth:`serve` and :meth:`run_workload`."""
-        from repro.serving.gateway import RequestGateway
-        from repro.serving.loop import ServingLoop
-
         gateway = RequestGateway(workload.tenants, metrics=self.metrics)
         for tenant in workload.tenants:
             if tenant.region is not None:

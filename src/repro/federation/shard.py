@@ -15,11 +15,7 @@ from repro.core.seeding import SeedPolicy
 from repro.federation.policy import ShardProfile
 from repro.hardware.microserver import MICROSERVER_CATALOG
 from repro.scheduler.cluster import CapacitySnapshot, Cluster, ClusterNode
-from repro.scheduler.heats import (
-    HeatsConfig,
-    HeatsScheduler,
-    warn_score_cache_ignored,
-)
+from repro.scheduler.heats import HeatsConfig, HeatsScheduler
 from repro.scheduler.modeling import ProfilingCampaign
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -64,7 +60,6 @@ class ClusterShard:
         scale: int = 1,
         base_seed: int = 7,
         heats_config: Optional[HeatsConfig] = None,
-        use_score_cache: Optional[bool] = None,
         noise_fraction: float = 0.05,
         metrics: Optional["MetricsRegistry"] = None,
         seed_policy: Optional[SeedPolicy] = None,
@@ -80,7 +75,6 @@ class ClusterShard:
                 is given, otherwise wrapped as ``SeedPolicy(base=...)``.
             heats_config: scheduler tunables; *copied* per shard so no two
                 shards ever share a config object.
-            use_score_cache: deprecated and ignored (warns if set).
             noise_fraction: profiling measurement noise.
             metrics: optional shared telemetry bus; shard schedulers
                 aggregate their placement signals into it.
@@ -98,8 +92,6 @@ class ClusterShard:
         seed = policy.shard_seed(index)
         cluster = Cluster.heats_testbed(scale=scale, prefix=f"shard{index}")
         config = replace(heats_config) if heats_config is not None else HeatsConfig()
-        if use_score_cache is not None:
-            warn_score_cache_ignored("ClusterShard.build(use_score_cache=)")
         scheduler = HeatsScheduler.with_learned_models(
             cluster,
             config=config,

@@ -18,7 +18,6 @@ the task is migrated to the new host.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -344,29 +343,9 @@ class HeatsScheduler:
         config: Optional[HeatsConfig] = None,
         noise_fraction: float = 0.05,
         seed: int = 7,
-        score_cache: object = None,
         metrics: Optional["MetricsRegistry"] = None,
     ) -> "HeatsScheduler":
-        """Run the profiling campaign on the cluster and build the scheduler.
-
-        ``score_cache`` is **deprecated and ignored** (scoring is always
-        exact); anything but None warns.
-        """
-        if score_cache is not None:
-            warn_score_cache_ignored("HeatsScheduler.with_learned_models(score_cache=)")
+        """Run the profiling campaign on the cluster and build the scheduler."""
         campaign = ProfilingCampaign(cluster, noise_fraction=noise_fraction, seed=seed).run()
         return cls(models=campaign.fit(), config=config, metrics=metrics)
 
-
-def warn_score_cache_ignored(what: str) -> None:
-    """The deprecation warning every retired score-cache knob emits.
-
-    Args:
-        what: the knob the caller set, e.g. ``"SchedulerSpec.score_cache"``.
-    """
-    warnings.warn(
-        f"{what} is deprecated and ignored: the prediction-score cache was "
-        "removed and HEATS scoring is always exact",
-        DeprecationWarning,
-        stacklevel=3,
-    )

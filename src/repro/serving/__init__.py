@@ -9,8 +9,6 @@ stream of user requests" to "tasks placed on the cluster":
 * :mod:`repro.serving.batching`  -- coalesces compatible requests (same
   tenant / use case / resource shape) into :class:`TaskRequest` batches
   with deadline-aware flushing.
-* :mod:`repro.serving.cache`     -- the retired LRU prediction-score
-  cache, kept importable but attached to nothing (scoring is exact).
 * :mod:`repro.serving.endpoints` -- the LEGaTO use cases exposed as
   servable endpoints plus a synthetic traffic generator.
 * :mod:`repro.serving.sla`       -- per-tenant SLA telemetry (p50/p95/p99
@@ -18,8 +16,8 @@ stream of user requests" to "tasks placed on the cluster":
 * :mod:`repro.serving.loop`      -- the serving loop driving the
   discrete-event cluster simulator as its placement backend.
 
-``LegatoSystem.serve(workload)`` is the facade entry point wiring all of
-the above together.
+``LegatoSystem.deploy(spec).serve(workload)`` is the entry point wiring
+all of the above together.
 """
 
 from repro.serving.gateway import (
@@ -31,7 +29,6 @@ from repro.serving.gateway import (
     TokenBucket,
 )
 from repro.serving.batching import Batch, Batcher, BatchPolicy
-from repro.serving.cache import CacheStats, PredictionScoreCache
 from repro.serving.endpoints import (
     SERVABLE_ENDPOINTS,
     ServableEndpoint,
@@ -46,9 +43,7 @@ __all__ = [
     "Batch",
     "Batcher",
     "BatchPolicy",
-    "CacheStats",
     "GatewayStats",
-    "PredictionScoreCache",
     "RequestGateway",
     "SERVABLE_ENDPOINTS",
     "ServableEndpoint",

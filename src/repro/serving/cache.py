@@ -1,13 +1,13 @@
-"""The retired LRU prediction-score cache: unattached, kept importable.
+"""The retired LRU prediction-score cache, kept only for the benchmark.
 
 It memoised ranked :class:`~repro.scheduler.heats.NodeScore` lists under
 keys that bucketed work and energy weight, so a hit could return a
 ranking made for a different request, and on large clusters it was
-slower than scoring.  HEATS scoring is now exact and nothing attaches
-this class (``ServingReport.cache_stats`` is always None).  It stays for
-importers and because the serving benchmark's tracer wraps
-:meth:`PredictionScoreCache.key_for`, ``get`` and ``put`` by name, so
-those remain plain methods; the traced ``cache.*`` metrics read 0.
+slower than scoring.  HEATS scoring is now exact and nothing in the
+serving stack attaches this class.  The module exists only for the
+serving benchmark's ``cache`` layer (``perfbench/layers.py``), which
+wraps :meth:`PredictionScoreCache.key_for`, ``get`` and ``put`` by name,
+so those remain plain methods; the traced ``cache.*`` metrics read 0.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ from repro.scheduler.cluster import Cluster
 from repro.scheduler.simulation import ClusterSimulator, SchedulerProtocol, SimulationResult
 from repro.scheduler.workload import TaskRequest
 from repro.serving.batching import Batch, Batcher, BatchPolicy
-from repro.serving.cache import CacheStats
 from repro.serving.gateway import AdmissionDecision, RequestGateway, ServingRequest, Tenant
 from repro.serving.sla import SlaTracker, TenantSlaReport, percentiles
 from repro.telemetry.profile import NULL_PHASE, PhaseProfiler
@@ -102,8 +101,6 @@ class ServingReport:
     #: per-member completion instants, index-aligned with ``latencies_s``
     #: (what ``Deployment.serve_iter`` buckets into its tick stream).
     completions_s: List[float] = field(default_factory=list)
-    #: **deprecated**: always None (the prediction-score cache is gone).
-    cache_stats: Optional[CacheStats] = None
     #: routing telemetry when the backend is a federation (a
     #: :class:`~repro.federation.federation.FederationStats`), else None.
     federation_stats: Optional[object] = None

@@ -118,9 +118,8 @@ class TestSectionConversions:
             rescheduling_interval_s=30.0, migration_improvement_threshold=0.2
         ).to_heats_config()
         assert config.rescheduling_interval_s == 30.0
-        spec = SchedulerSpec.from_heats_config(config, score_cache=False)
+        spec = SchedulerSpec.from_heats_config(config)
         assert spec.rescheduling_interval_s == 30.0
-        assert not spec.score_cache
 
     def test_serving_spec_batch_policy_round_trip(self):
         policy = ServingSpec(max_batch_size=4, max_delay_s=1.0).to_batch_policy()
@@ -149,11 +148,20 @@ class TestDictRoundTrip:
                 {
                     "warp_drive": {},
                     "topology": {"cluster_scale": 2, "warp_factor": 9},
-                    "scheduler": {"score_cache": "yes"},
+                    "scheduler": {"score_cache": "yes", "score_cache_capacity": 4096},
+                    "serving": {"fast_path": False},
                 }
             )
         paths = {issue.path for issue in excinfo.value.issues}
-        assert paths == {"warp_drive", "topology.warp_factor", "scheduler.score_cache"}
+        assert paths == {
+            "warp_drive",
+            "topology.warp_factor",
+            "scheduler.score_cache",
+            "scheduler.score_cache_capacity",
+            "serving.fast_path",
+        }
+        messages = {issue.message for issue in excinfo.value.issues}
+        assert messages == {"unknown section", "unknown field"}
 
     def test_type_errors_are_path_tagged(self):
         with pytest.raises(SpecValidationError) as excinfo:
@@ -206,8 +214,6 @@ _schedulers = st.builds(
     rescheduling_interval_s=st.floats(min_value=0.5, max_value=600.0),
     migration_improvement_threshold=st.floats(min_value=0.0, max_value=0.99),
     default_energy_weight=st.floats(min_value=0.0, max_value=1.0),
-    score_cache=st.booleans(),
-    score_cache_capacity=st.integers(min_value=1, max_value=1 << 20),
 )
 _servings = st.builds(
     ServingSpec,

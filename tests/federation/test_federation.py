@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import LegatoSystem, ServingWorkload
+from repro import DeploymentSpec, LegatoSystem, ServingWorkload
+from repro.api import TopologySpec
 from repro.federation import (
     ClusterShard,
     Federation,
@@ -55,20 +56,6 @@ class TestFederationBuild:
     def test_shards_never_share_config_objects(self, federation):
         configs = [shard.scheduler.config for shard in federation.shards]
         assert configs[0] is not configs[1]
-
-    def test_score_cache_arguments_are_ignored_shims(self, federation):
-        with pytest.warns(DeprecationWarning, match="use_score_cache"):
-            shimmed = Federation.build(
-                num_shards=2, shard_scale=1, seed=11, use_score_cache=True
-            )
-        assert not any(hasattr(s.scheduler, "score_cache") for s in shimmed.shards)
-        # Scoring is exact either way: every shard places identically.
-        for index in range(6):
-            request = _request(f"t{index}", cores=1 + index % 2, gops=10.0 * (index + 1))
-            for plain, other in zip(federation.shards, shimmed.shards):
-                assert plain.scheduler.place(
-                    request, plain.cluster, 0.0
-                ) == other.scheduler.place(request, other.cluster, 0.0)
 
     def test_shard_models_learned_independently(self, federation):
         # Different profiling seeds -> different measurement noise -> the
@@ -189,31 +176,28 @@ class TestFederatedServing:
             tenants, mix, offered_rps=12.0, duration_s=15.0, seed=seed
         )
 
-    def test_serve_populates_federation_stats(self, federation):
-        report = federation.serve(self._workload())
+    def test_run_workload_populates_federation_stats(self, federation):
+        report = federation.run_workload(self._workload())
         assert report.federation_stats is not None
         assert report.federation_stats.placements > 0
         assert "federation" in report.summary()
         assert report.admitted == report.completed + report.dropped
 
-    def test_federation_serves_once(self, federation):
-        federation.serve(self._workload())
-        with pytest.raises(RuntimeError):
-            federation.serve(self._workload())
-
-    def test_system_serve_with_shards(self):
-        report = LegatoSystem().serve(self._workload(), cluster_scale=2, num_shards=2)
+    def test_deploy_with_shards(self):
+        spec = DeploymentSpec(topology=TopologySpec(cluster_scale=2, shards=2))
+        report = LegatoSystem().deploy(spec).serve(self._workload())
         assert report.federation_stats is not None
         assert report.completed > 0
 
-    def test_system_serve_rejects_undivisible_scale(self):
+    def test_deploy_rejects_undivisible_scale(self):
+        spec = DeploymentSpec(topology=TopologySpec(cluster_scale=3, shards=2))
         with pytest.raises(ValueError):
-            LegatoSystem().serve(self._workload(), cluster_scale=3, num_shards=2)
+            LegatoSystem().deploy(spec)
 
     def test_single_cluster_serve_has_no_federation_stats(self):
-        report = LegatoSystem().serve(self._workload(), cluster_scale=1)
+        spec = DeploymentSpec(topology=TopologySpec(cluster_scale=1))
+        report = LegatoSystem().deploy(spec).serve(self._workload())
         assert report.federation_stats is None
-
 
 class TestElasticNodes:
     def test_grown_node_is_owned_and_its_shard_removable(self, federation):

@@ -96,16 +96,8 @@ class TestDetached:
         with pytest.raises(TypeError):
             HeatsScheduler(models, score_cache=PredictionScoreCache())
 
-    def test_with_learned_models_cache_argument_warns_and_is_ignored(
-        self, heterogeneous_cluster
-    ):
-        plain = HeatsScheduler.with_learned_models(heterogeneous_cluster, seed=3)
-        with pytest.warns(DeprecationWarning, match="score_cache"):
-            shimmed = HeatsScheduler.with_learned_models(
+    def test_with_learned_models_takes_no_cache(self, heterogeneous_cluster):
+        with pytest.raises(TypeError):
+            HeatsScheduler.with_learned_models(
                 heterogeneous_cluster, seed=3, score_cache=PredictionScoreCache()
-            )
-        for gops in (10.0, 100.0, 101.0, 1000.0):
-            request = make_request(task_id=f"t{gops}", gops=gops)
-            assert shimmed.place(request, heterogeneous_cluster, 0.0) == plain.place(
-                request, heterogeneous_cluster, 0.0
             )

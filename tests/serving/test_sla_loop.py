@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import LegatoSystem, ServingWorkload
+from repro import DeploymentSpec, LegatoSystem, ServingWorkload
+from repro.api import TopologySpec
 from repro.scheduler.cluster import Cluster
 from repro.scheduler.heats import HeatsScheduler
 from repro.scheduler.modeling import ProfilingCampaign
@@ -136,26 +137,13 @@ class TestServingLoop:
         assert report.ops_per_sec > 0
         assert report.p99_latency_s >= report.p50_latency_s > 0
 
-    def test_facade_serve_round_trip(self):
+    def test_deploy_serve_round_trip(self):
         workload = _two_tenant_workload(offered_rps=12.0, duration_s=20.0)
-        report = LegatoSystem().serve(workload, cluster_scale=2)
+        spec = DeploymentSpec(topology=TopologySpec(cluster_scale=2))
+        report = LegatoSystem().deploy(spec).serve(workload)
         assert report.completed > 0
-        assert report.cache_stats is None
         summary = report.summary()
         assert set(summary["tenants"]) == {"perf-tenant", "eco-tenant"}
-
-    def test_score_cache_flag_is_an_ignored_shim(self):
-        workload = _two_tenant_workload(offered_rps=12.0, duration_s=20.0)
-        with pytest.warns(DeprecationWarning):
-            plain = LegatoSystem().serve(workload, cluster_scale=2)
-        for flag in (True, False):
-            with pytest.warns(DeprecationWarning, match="use_score_cache"):
-                shimmed = LegatoSystem().serve(
-                    workload, cluster_scale=2, use_score_cache=flag
-                )
-            assert shimmed.summary() == plain.summary()
-            assert shimmed.latencies_s == plain.latencies_s
-            assert shimmed.cache_stats is None
 
     def test_deadline_expiring_at_end_of_stream_does_not_crash(self, heterogeneous_cluster):
         # The lone request's deadline passes before the end-of-stream flush
