@@ -11,9 +11,9 @@ the ROADMAP asks for.  Two experiments:
 2. **Federation shard sweep** -- the identical workload served by 1, 2,
    and 4 shards at a fixed total node count (1 shard = today's single
    HEATS cluster).  Per-request placement latency is measured around the
-   scheduler's ``place`` calls; the 4-shard federation must place at least
-   as fast as the single-cluster baseline because node-level scoring only
-   ever runs over one shard's nodes.
+   scheduler's ``place`` calls; the shard-ranking hop must keep the
+   4-shard federation's per-place cost within 1.5x of the single-cluster
+   baseline, judged on the median of interleaved paired rounds.
 
 The sweep emits ``BENCH_serving.json`` and the shard sweep
 ``BENCH_federation_sweep.json``; their tables render to
@@ -23,6 +23,7 @@ The sweep emits ``BENCH_serving.json`` and the shard sweep
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
@@ -213,7 +214,12 @@ def test_serving_federation_shard_sweep(bench, smoke):
         Tenant(name="eco-tenant", rate_limit_rps=500.0, burst=200, energy_weight=0.9,
                region="eu-north"),
     ]
-    offered_rps, duration_s, repeats = (40.0, 10.0, 2) if smoke else (120.0, 30.0, 3)
+    offered_rps, duration_s = (40.0, 10.0) if smoke else (120.0, 30.0)
+    # Host speed shifts between whole runs on a shared machine, so the
+    # 1- vs 4-shard cost is compared within each round of back-to-back
+    # runs (order alternating between rounds), and the median over the
+    # rounds is the ratio that is gated and asserted.
+    repeats = 12
     workload = ServingWorkload.synthetic(
         tenants, _mix(), offered_rps=offered_rps, duration_s=duration_s, seed=29
     )
@@ -221,14 +227,20 @@ def test_serving_federation_shard_sweep(bench, smoke):
     best = {}
     reports = {}
     stats = {}
-    for _ in range(repeats):
-        for num_shards in FEDERATION_SHARD_COUNTS:
+    round_speedups = []
+    for index in range(repeats):
+        order = FEDERATION_SHARD_COUNTS[:: 1 if index % 2 == 0 else -1]
+        round_latency = {}
+        for num_shards in order:
             timer, report, fed_stats = _federation_run(workload, num_shards)
             latency = timer.mean_place_latency_s
+            round_latency[num_shards] = latency
             if num_shards not in best or latency < best[num_shards][0]:
                 best[num_shards] = (latency, timer.place_calls)
                 reports[num_shards] = report
                 stats[num_shards] = fed_stats
+        one_s, four_s = round_latency[1], round_latency[4]
+        round_speedups.append(one_s / four_s if four_s > 0 else float("inf"))
 
     rows = []
     for num_shards in FEDERATION_SHARD_COUNTS:
@@ -249,9 +261,7 @@ def test_serving_federation_shard_sweep(bench, smoke):
         )
     single, two, four = (reports[n] for n in FEDERATION_SHARD_COUNTS)
     run = bench("federation_sweep")
-    place_speedup = (
-        best[1][0] / best[4][0] if best[4][0] > 0 else float("inf")
-    )
+    place_speedup = statistics.median(round_speedups)
     # Per-place latency ratios are wall-clock: gated loosely.
     run.metric("place_latency_speedup_4shard", place_speedup,
                direction="higher", tolerance=0.50)
@@ -300,4 +310,4 @@ def test_serving_federation_shard_sweep(bench, smoke):
     # no longer be *cheaper* per call, but the shard-ranking hop must
     # stay a bounded fraction of a placement (it is O(shards), and a
     # regression to O(fleet) routing would blow well past this bound).
-    assert best[4][0] <= best[1][0] * 1.5
+    assert place_speedup * 1.5 >= 1.0

@@ -9,6 +9,7 @@ from repro.api import (
     AutoscaledBackend,
     AutoscaleSpec,
     FederatedBackend,
+    SchedulerSpec,
     SingleClusterBackend,
     TelemetrySpec,
     TopologySpec,
@@ -62,6 +63,26 @@ class TestBackendSelection:
             Deployment.from_spec(
                 DeploymentSpec(topology=TopologySpec(cluster_scale=3, shards=2))
             )
+
+    def test_federation_heartbeat_is_the_scheduler_cadence(self):
+        spec = DeploymentSpec(
+            topology=TopologySpec(cluster_scale=2, shards=2),
+            scheduler=SchedulerSpec(rescheduling_interval_s=45.0),
+        )
+        federation = Deployment.from_spec(spec).backend.federation
+        assert federation.scheduler.config.rescheduling_interval_s == 45.0
+
+    def test_autoscaled_heartbeat_is_the_control_interval(self):
+        # Control and migration share one heartbeat, whatever cadence the
+        # scheduler section asks for.
+        spec = DeploymentSpec(
+            topology=TopologySpec(cluster_scale=2, shards=2),
+            scheduler=SchedulerSpec(rescheduling_interval_s=45.0),
+            autoscale=AutoscaleSpec(enabled=True, control_interval_s=3.0),
+            telemetry=TelemetrySpec(enabled=True),
+        )
+        federation = Deployment.from_spec(spec).backend.federation
+        assert federation.scheduler.config.rescheduling_interval_s == 3.0
 
 
 class TestWarmReuse:

@@ -71,39 +71,64 @@ def _report_digest(report) -> str:
     )
 
 
+def _single_spec() -> DeploymentSpec:
+    return DeploymentSpec(
+        name="legato",
+        topology=TopologySpec(cluster_scale=2, seed=SeedPolicy(base=11)),
+        serving=ServingSpec.from_batch_policy(
+            BatchPolicy(max_batch_size=8, max_delay_s=1.5)
+        ),
+    )
+
+
+def _federated_spec() -> DeploymentSpec:
+    return DeploymentSpec(
+        topology=TopologySpec(cluster_scale=4, shards=2, seed=SeedPolicy(base=13)),
+        scheduler=SchedulerSpec.from_heats_config(
+            HeatsConfig(migration_improvement_threshold=0.1)
+        ),
+    )
+
+
+def _autoscaled_spec() -> DeploymentSpec:
+    return DeploymentSpec(
+        topology=TopologySpec(cluster_scale=1, seed=SeedPolicy(base=17)),
+        autoscale=AutoscaleSpec(enabled=True),
+        telemetry=TelemetrySpec(enabled=True),
+    )
+
+
+#: shape -> (spec builder, workload seed, pinned report digest).
+GOLDENS = {
+    "single": (_single_spec, 21, SINGLE_REPORT),
+    "federated": (_federated_spec, 22, FEDERATED_REPORT),
+    "autoscaled": (_autoscaled_spec, 23, AUTOSCALED_REPORT),
+}
+
+
 class TestSpecGoldens:
     def test_single_cluster_golden(self):
-        spec = DeploymentSpec(
-            name="legato",
-            topology=TopologySpec(cluster_scale=2, seed=SeedPolicy(base=11)),
-            serving=ServingSpec.from_batch_policy(
-                BatchPolicy(max_batch_size=8, max_delay_s=1.5)
-            ),
-        )
-        report = LegatoSystem().deploy(spec).serve(_workload())
+        report = LegatoSystem().deploy(_single_spec()).serve(_workload())
         assert report.federation_stats is None
         assert _report_digest(report) == SINGLE_REPORT
 
     def test_federated_golden(self):
-        spec = DeploymentSpec(
-            topology=TopologySpec(cluster_scale=4, shards=2, seed=SeedPolicy(base=13)),
-            scheduler=SchedulerSpec.from_heats_config(
-                HeatsConfig(migration_improvement_threshold=0.1)
-            ),
-        )
-        report = LegatoSystem().deploy(spec).serve(_workload(seed=22))
+        report = LegatoSystem().deploy(_federated_spec()).serve(_workload(seed=22))
         assert _report_digest(report) == FEDERATED_REPORT
         assert _digest(report.federation_stats.summary()) == FEDERATION_STATS
 
     def test_autoscaled_golden(self):
-        spec = DeploymentSpec(
-            topology=TopologySpec(cluster_scale=1, seed=SeedPolicy(base=17)),
-            autoscale=AutoscaleSpec(enabled=True),
-            telemetry=TelemetrySpec(enabled=True),
-        )
-        report = LegatoSystem().deploy(spec).serve(_workload(seed=23))
+        report = LegatoSystem().deploy(_autoscaled_spec()).serve(_workload(seed=23))
         assert _report_digest(report) == AUTOSCALED_REPORT
         assert _digest(report.autoscale_report.summary()) == AUTOSCALE_REPORT
+
+    @pytest.mark.parametrize("shape", sorted(GOLDENS))
+    def test_golden_survives_a_toml_round_trip(self, shape):
+        build, seed, digest = GOLDENS[shape]
+        spec = DeploymentSpec.from_toml(build().to_toml())
+        assert spec == build()
+        report = LegatoSystem().deploy(spec).serve(_workload(seed=seed))
+        assert _report_digest(report) == digest
 
     def test_non_divisible_topology_is_rejected(self):
         spec = DeploymentSpec(topology=TopologySpec(cluster_scale=3, shards=2))

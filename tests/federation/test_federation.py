@@ -183,6 +183,25 @@ class TestFederatedServing:
         assert "federation" in report.summary()
         assert report.admitted == report.completed + report.dropped
 
+    def test_run_workload_serves_again_on_warm_state(self, federation):
+        models = [shard.scheduler.models for shard in federation.shards]
+        first = federation.run_workload(self._workload())
+        second = federation.run_workload(self._workload())
+        # The profiled models carry over; the routing counters are per run.
+        for shard, model_set in zip(federation.shards, models):
+            assert shard.scheduler.models is model_set
+        assert second.federation_stats is not first.federation_stats
+        assert second.federation_stats.placements <= second.admitted
+        assert first.completed > 0 and second.completed > 0
+
+    def test_run_workload_refuses_while_tasks_still_run(self, federation):
+        node = next(iter(federation.shards[0].cluster))
+        node.reserve("left-over", 1, 0.1)
+        with pytest.raises(RuntimeError, match="still hosts running tasks"):
+            federation.run_workload(self._workload())
+        node.release("left-over")
+        assert federation.run_workload(self._workload()).completed > 0
+
     def test_deploy_with_shards(self):
         spec = DeploymentSpec(topology=TopologySpec(cluster_scale=2, shards=2))
         report = LegatoSystem().deploy(spec).serve(self._workload())
@@ -198,6 +217,7 @@ class TestFederatedServing:
         spec = DeploymentSpec(topology=TopologySpec(cluster_scale=1))
         report = LegatoSystem().deploy(spec).serve(self._workload())
         assert report.federation_stats is None
+
 
 class TestElasticNodes:
     def test_grown_node_is_owned_and_its_shard_removable(self, federation):

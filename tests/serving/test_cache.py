@@ -101,3 +101,12 @@ class TestDetached:
             HeatsScheduler.with_learned_models(
                 heterogeneous_cluster, seed=3, score_cache=PredictionScoreCache()
             )
+
+    def test_only_the_cache_module_exports_it(self):
+        import repro.serving
+        import repro.serving.cache
+
+        for name in ("CacheStats", "PredictionScoreCache"):
+            assert hasattr(repro.serving.cache, name)
+            assert not hasattr(repro.serving, name)
+            assert name not in repro.serving.__all__

@@ -100,3 +100,26 @@ def test_benchmark_harness_all_names_resolve():
     assert exported, "benchmarks/harness.py should declare __all__"
     for name in exported:
         assert hasattr(module, name), f"harness.__all__ lists missing name {name!r}"
+
+
+#: The serving surface removed in 1.5: ``LegatoSystem.deploy(spec)`` is the
+#: one serving entry point, and the score-cache knobs are gone for good.
+REMOVED_SERVING_SURFACE = [
+    ("repro.core.ecosystem", "LegatoSystem", "serve"),
+    ("repro.core.ecosystem", "LegatoSystem", "federate"),
+    ("repro.core.ecosystem", "LegatoSystem", "autoscaler"),
+    ("repro.federation", "Federation", "serve"),
+    ("repro.federation", "Federation", "base_seed"),
+    ("repro.serving", "ServingReport", "cache_stats"),
+    ("repro.scheduler", "heats", "warn_score_cache_ignored"),
+]
+
+
+@pytest.mark.parametrize(
+    "module_name, owner, name",
+    REMOVED_SERVING_SURFACE,
+    ids=lambda value: str(value),
+)
+def test_removed_serving_surface_stays_removed(module_name, owner, name):
+    holder = getattr(importlib.import_module(module_name), owner)
+    assert not hasattr(holder, name), f"{owner}.{name} was removed in 1.5"
